@@ -45,7 +45,7 @@ from .dyck import (
     subset_to_dyck,
     word_to_gaps,
 )
-from .errors import EnumerationLimitError, ExactDivisionError
+from .errors import EnumerationLimitError, ExactDivisionError, InvariantError
 from .groups import (
     GroupSpec,
     character_sum,
@@ -86,6 +86,7 @@ __all__ = [
     "EnumerationLimitError",
     "ExactDivisionError",
     "GroupSpec",
+    "InvariantError",
     "all_abelian_groups",
     "canonical_rotation",
     "character_sum",

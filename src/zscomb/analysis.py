@@ -19,6 +19,7 @@ from math import comb, gcd
 
 from .brute import enum_sequences
 from .counting import count_sequences, count_subsets, rational_catalan
+from .errors import _check
 from .groups import GroupSpec, factorize, is_prime, normalize_group
 
 # Enumeration is only consulted when the candidate space is this small.
@@ -100,7 +101,7 @@ def sum_all_elements_is_zero(group: GroupSpec) -> bool:
     total = 0
     for g in group.elements():
         total = group.add(total, g)
-    assert structural == (total == 0), "structural total-sum rule disagrees"
+    _check(structural == (total == 0), "structural total-sum rule agrees", group=str(group))
     return structural
 
 

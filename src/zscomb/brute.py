@@ -64,6 +64,7 @@ def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None 
     element tuples (combinations with replacement of labels), so the output
     is deterministic and duplicate-free.
     """
+    group.check_label(target)
     n = group.order
     if m < 0:
         raise ValueError(f"length must be >= 0, got {m}")
@@ -78,6 +79,7 @@ def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None 
 
 def enum_subsets(group: GroupSpec, k: int, target: int = 0, limit: int | None = None):
     """All k-element subsets of the group with sum = target, as indicator vectors."""
+    group.check_label(target)
     n = group.order
     if not 0 <= k <= n:
         raise ValueError(f"subset size {k} out of range for order {n}")
@@ -98,6 +100,7 @@ def enum_pairs(
     Pairs are returned as (multiplicity vector, indicator vector) in
     lexicographic candidate order.
     """
+    group.check_label(target)
     n = group.order
     if p < 0 or not 0 <= k <= n:
         raise ValueError(f"bad pair shape p={p}, k={k} for order {n}")

@@ -11,8 +11,10 @@ Grammar (flags live on the leaf subcommands):
     zscomb scan     reciprocity ...
 
 Exit codes: 0 success, 1 a verification report contains failures, 2 usage
-or precondition error.  Counts are emitted as decimal strings.  The
-ZSCOMB_LIMIT environment variable sets the default enumeration budget.
+or precondition error, 3 an internal check failed (a broken invariant or an
+inexact division; the JSON names it).  Counts are emitted as decimal
+strings.  The ZSCOMB_LIMIT environment variable sets the default
+enumeration budget.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .dyck import (
     sequence_to_dyck,
     subset_to_dyck,
 )
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, ExactDivisionError, InvariantError
 from .groups import GroupSpec
 from .necklaces import (
     complement_bijection,
@@ -329,6 +331,13 @@ def run(argv=None) -> int:
     except (ValueError, EnumerationLimitError) as exc:
         _emit({"error": type(exc).__name__, "reason": str(exc)}, args.pretty)
         return 2
+    except InvariantError as exc:
+        detail = {"check": exc.check, "context": exc.context}
+        _emit({"error": "InvariantError", "reason": str(exc), **detail}, args.pretty)
+        return 3
+    except ExactDivisionError as exc:
+        _emit({"error": "ExactDivisionError", "reason": str(exc)}, args.pretty)
+        return 3
     _emit(payload, args.pretty)
     return 1 if failed else 0
 

@@ -41,6 +41,7 @@ def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
     The boundary sizes k = 0 and k = n are evaluated directly: the empty
     subset sums to 0 and the full subset sums to the sum of all elements.
     """
+    group.check_label(target)
     n = group.order
     if not 0 <= k <= n:
         raise ValueError(f"subset size {k} out of range for order {n}")
@@ -63,6 +64,7 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     Equals (1/(n+m)) * sum over d | gcd(n, m) of
         character_sum(target, d) * C(n/d + m/d, n/d).
     """
+    group.check_label(target)
     n = group.order
     if m < 0:
         raise ValueError(f"length must be >= 0, got {m}")
@@ -114,6 +116,7 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
         * C(n/d + p/d - 1, p/d) * C(n/d, k/d),
     and is 0 for k > n.
     """
+    group.check_label(target)
     n = group.order
     if p < 0 or k < 0:
         raise ValueError(f"need p, k >= 0, got ({p}, {k})")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, gcd
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, _check
 from .groups import GroupSpec
 from .zerosum import (
     check_indicator,
@@ -115,8 +115,22 @@ def enum_dyck(a: int, b: int, max_total: int = ENUM_DEFAULT_MAX) -> list[str]:
             word.pop()
 
     walk(0, 0)
-    assert len(out) == comb(a + b, a) // (a + b)
+    _check(len(out) == comb(a + b, a) // (a + b), "Dyck path count is Cat(a, b)", a=a, b=b)
     return out
+
+
+def _cycle_lemma_start(steps) -> int:
+    """Start of the unique rotation of a closed walk that never dips below 0.
+
+    The steps must sum to 0 and their n prefix heights h_0 = 0,
+    h_i = s_0 + ... + s_{i-1} (i < n) must have a unique minimum; rotating
+    to start at its argmin gives the one rotation whose prefix heights all
+    stay >= 0 (cycle lemma, Dvoretzky & Motzkin 1947).  Linear in n.
+    """
+    heights = list(accumulate(steps[:-1], initial=0))
+    low = min(heights)
+    _check(heights.count(low) == 1, "prefix-height minimum is unique", length=len(steps), low=low)
+    return heights.index(low)
 
 
 def sequence_to_dyck(group: GroupSpec, vec) -> tuple[tuple[int, ...], int]:
@@ -125,7 +139,7 @@ def sequence_to_dyck(group: GroupSpec, vec) -> tuple[tuple[int, ...], int]:
     With n = |G| and mass m coprime to n, the scaled heights
     h_i = n * (x_0 + ... + x_{i-1}) - m * i for i = 0..n-1 are pairwise
     distinct; rotating left by the argmin gives the one rotation that is an
-    (n, m)-Dyck path.  Returns (gap vector, rotation amount).
+    (n, m)-Dyck path.  Linear in n + m.  Returns (gap vector, rotation amount).
     """
     vec = check_vector(group, vec)
     n = group.order
@@ -133,15 +147,10 @@ def sequence_to_dyck(group: GroupSpec, vec) -> tuple[tuple[int, ...], int]:
     _check_shape(n, m)
     if not is_zero_sum(group, vec):
         raise ValueError("sequence does not sum to the identity")
-    heights = [0]
-    run = 0
-    for i in range(1, n):
-        run += vec[i - 1]
-        heights.append(n * run - m * i)
-    assert len(set(heights)) == n
-    lam = heights.index(min(heights))
+    lam = _cycle_lemma_start([n * x - m for x in vec])
     gaps = cyclic_shift(vec, lam)
-    assert is_dyck(n, m, gaps)
+    ok = is_dyck(n, m, gaps)
+    _check(ok, "cycle-lemma rotation is a Dyck path", order=n, mass=m, rotation=lam)
     return gaps, lam
 
 
@@ -149,7 +158,8 @@ def dyck_to_sequence(group: GroupSpec, gaps) -> tuple[tuple[int, ...], int]:
     """Rotate a Dyck gap vector into its unique zero-sum multiset.
 
     Inverse direction of :func:`sequence_to_dyck`; the rotation is found by
-    the staged congruence construction.  Returns (vector, rotation amount).
+    the staged congruence construction.  Linear in n + m.  Returns (vector,
+    rotation amount).
     """
     gaps = check_vector(group, gaps)
     n = group.order
@@ -164,8 +174,9 @@ def subset_to_dyck(group: GroupSpec, bits) -> tuple[str, int]:
     """Rotate a zero-sum k-subset indicator into its unique Dyck step word.
 
     The indicator is read directly as a step word (element k-subsets of a
-    group of order n give (k, n-k)-paths).  Exactly one of the n rotations
-    is a Dyck path; returns (word, rotation amount).
+    group of order n give (k, n-k)-paths).  A north step raises k*y - (n-k)*x
+    by k and an east step lowers it by n-k, so the Dyck rotation starts at
+    the argmin of those heights.  Linear in n.  Returns (word, rotation amount).
     """
     bits = check_indicator(group, bits)
     n = group.order
@@ -173,15 +184,19 @@ def subset_to_dyck(group: GroupSpec, bits) -> tuple[str, int]:
     _check_shape(k, n - k)
     if not is_zero_sum(group, bits):
         raise ValueError("subset does not sum to the identity")
-    words = ["".join(map(str, cyclic_shift(bits, l))) for l in range(n)]
-    hits = [l for l, w in enumerate(words) if is_dyck(k, n - k, w)]
-    assert len(hits) == 1
-    lam = hits[0]
-    return words[lam], lam
+    lam = _cycle_lemma_start([k - n * b for b in bits])
+    word = "".join(map(str, cyclic_shift(bits, lam)))
+    ok = is_dyck(k, n - k, word)
+    _check(ok, "cycle-lemma rotation is a Dyck word", order=n, size=k, rotation=lam)
+    return word, lam
 
 
 def dyck_to_subset(group: GroupSpec, word: str) -> tuple[tuple[int, ...], int]:
-    """Rotate a Dyck step word into its unique zero-sum subset indicator."""
+    """Rotate a Dyck step word into its unique zero-sum subset indicator.
+
+    Inverse of :func:`subset_to_dyck` by the staged congruence construction;
+    linear in n.  Returns (indicator, rotation amount).
+    """
     n = group.order
     if len(word) != n:
         raise ValueError(f"step word length {len(word)} must equal group order {n}")

@@ -12,3 +12,24 @@ class ExactDivisionError(ArithmeticError):
 
 class EnumerationLimitError(RuntimeError):
     """A brute-force enumeration would exceed its candidate budget."""
+
+
+class InvariantError(RuntimeError):
+    """A post-condition the package guarantees did not hold.
+
+    Raised on valid input only, so it always means the implementation is
+    wrong.  `check` names the broken invariant and `context` holds the
+    JSON-ready values that locate it (group order, mass, rotation, ...).
+    """
+
+    def __init__(self, check: str, **context):
+        self.check = check
+        self.context = context
+        detail = ", ".join(f"{key}={value}" for key, value in context.items())
+        super().__init__(f"{check} ({detail})" if detail else check)
+
+
+def _check(ok: bool, check: str, **context) -> None:
+    """Raise InvariantError unless ok; unlike assert, survives python -O."""
+    if not ok:
+        raise InvariantError(check, **context)

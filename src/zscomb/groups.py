@@ -108,10 +108,15 @@ class GroupSpec:
 
     # -- label arithmetic ---------------------------------------------------
 
-    def coords(self, label: int) -> tuple[int, ...]:
-        """Mixed-radix digits (a_1, ..., a_r) of an element label."""
+    def check_label(self, label: int) -> int:
+        """Return label unchanged if it names an element; raise ValueError if not."""
         if not 0 <= label < self.order:
             raise ValueError(f"label {label} out of range for order {self.order}")
+        return label
+
+    def coords(self, label: int) -> tuple[int, ...]:
+        """Mixed-radix digits (a_1, ..., a_r) of an element label."""
+        self.check_label(label)
         out = []
         for n_i in self.invariant_factors:
             out.append(label % n_i)

@@ -9,34 +9,59 @@ bijection between the two collections ("reciprocity").
 
 Necklaces are serialized as strings over R, G, B in canonical rotation (the
 lexicographically least one under R < G < B).  Green only appears in the
-three-color pair bijection at the bottom of this module.
+three-color pair bijection at the bottom of this module.  Every map here
+reads its necklace a bounded number of times and rotates by the staged
+shift, so each runs in time linear in |G| + mass.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .groups import GroupSpec
+from .errors import _check
+from .groups import GroupSpec, factorize
 from .zerosum import (
     check_indicator,
     check_vector,
     cyclic_shift,
     is_zero_sum,
+    is_zero_sum_by_congruences,
     sequence_sum,
     target_sum_shift,
     translate,
     zero_sum_shift,
 )
 
-_COLOR_RANK = {"R": 0, "G": 1, "B": 2}
+_RANKS = str.maketrans("RGB", "012")
 
 
 def canonical_rotation(word: str) -> str:
-    """Lexicographically least rotation of a color word under R < G < B."""
-    if not set(word) <= set(_COLOR_RANK):
+    """Lexicographically least rotation of a color word under R < G < B.
+
+    Two-pointer least-rotation scan, linear in len(word): start candidates
+    i and j are compared bead by bead on the doubled rank string, and a
+    mismatch after k equal beads rules out the losing start and the k
+    starts that follow it.
+    """
+    if not set(word) <= set("RGB"):
         raise ValueError(f"necklace words use R, G, B only, got {word!r}")
-    key = lambda w: [_COLOR_RANK[c] for c in w]
-    return min((word[i:] + word[:i] for i in range(len(word))), key=key, default=word)
+    n = len(word)
+    ranks = word.translate(_RANKS) * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = ranks[i + k], ranks[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return word[start:] + word[:start]
 
 
 def _gaps_after(word: str, marker: str) -> tuple[int, ...]:
@@ -135,44 +160,22 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     e = sequence_sum(group, [1] * n)
     if e == 0:
         return comp, 0
-    xs = [x for x in group.elements() if group.scalar_mul(k, x) == e]
-    if not xs:
-        raise ValueError(
-            f"k*x = e has no solution for k = {k} in group {group}"
-        )
-    x = min(xs)
+    # k*x = e splits into one congruence per axis, and the smallest label
+    # takes the smallest solution digit on every axis.
+    digits = []
+    for e_t, n_t in zip(group.coords(e), group.invariant_factors):
+        a = next((a for a in range(n_t) if k * a % n_t == e_t), None)
+        if a is None:
+            raise ValueError(f"k*x = e has no solution for k = {k} in group {group}")
+        digits.append(a)
+    x = group.label(digits)
     out = translate(group, comp, x)
-    assert is_zero_sum(group, out)
+    ok = is_zero_sum_by_congruences(group, out)
+    _check(ok, "translated complement is zero-sum", order=n, size=k, translation=x)
     return out, x
 
 
 # -- three-color pair bijection ---------------------------------------------
-
-
-def _marker_reads(word: str, gap_color: str, markers: str):
-    """(gap vector, marker pattern) at every rotation ending on a marker bead.
-
-    For a rotation ending on a marker, each marker bead owns the run of
-    gap-colored beads before it, so the reads are exact with no wrap-around.
-    The third color's beads are markers too: only `gap_color` is counted in
-    the gaps.
-    """
-    positions = [i for i, c in enumerate(word) if c in markers]
-    reads = []
-    for pos in positions:
-        rotated = word[pos + 1 :] + word[: pos + 1]
-        gaps = []
-        pattern = []
-        run = 0
-        for c in rotated:
-            if c == gap_color:
-                run += 1
-            else:
-                gaps.append(run)
-                pattern.append(1 if c == "G" else 0)
-                run = 0
-        reads.append((tuple(gaps), tuple(pattern)))
-    return reads
 
 
 def pair_bijection(
@@ -191,7 +194,8 @@ def pair_bijection(
     against the p+m red/green beads at the rotation where that gap vector
     sums to the identity recovers the output subset pattern; re-rotating the
     blue gap vector so the whole output pair sums to zero finishes the map.
-    Running the same procedure from the other side inverts it.
+    Running the same procedure from the other side inverts it.  The necklace
+    is read once, so the map is linear in |G| + p.
     """
     seq_vec = check_vector(group, seq_vec)
     subset_bits = check_indicator(group, subset_bits)
@@ -214,11 +218,20 @@ def pair_bijection(
         "R" * pinned[i] + ("G" if subset_bits[i] else "B")
         for i in range(group.order)
     )
-    reads = _marker_reads(word, "B", "RG")
-    _, pinned_out = zero_sum_shift(other, reads[0][0])
-    matches = [pattern for gaps, pattern in reads if gaps == pinned_out]
-    assert len(matches) == 1
-    v_bits = matches[0]
+    # Red and green beads are the markers: gaps[i] counts the blue beads
+    # after marker i, and the run ends on marker i + 1, whose color gives
+    # bit i of the pattern.
+    gaps = _gaps_after(word.replace("G", "R"), "R")
+    pattern = cyclic_shift([1 if c == "G" else 0 for c in word if c != "B"], 1)
+    # The pattern at the zero-sum rotation of the gaps is well defined only
+    # if no other rotation has the same gaps, i.e. the gap vector is
+    # aperiodic; a proper period would make the rotation by size/l a
+    # symmetry for some prime l dividing the size.
+    size = len(gaps)
+    aperiodic = all(cyclic_shift(gaps, size // l) != gaps for l, _ in factorize(size))
+    _check(aperiodic, "blue gap vector is aperiodic", order=size, mass=q)
+    shift, pinned_out = zero_sum_shift(other, gaps)
+    v_bits = cyclic_shift(pattern, shift)
     target = other.negate(sequence_sum(other, v_bits))
     _, u_vec = target_sum_shift(other, pinned_out, target)
     return u_vec, v_bits

@@ -20,6 +20,7 @@ from math import comb
 
 from .brute import sequences_by_sum, subsets_by_sum
 from .counting import count_pairs_coefficient, exact_div
+from .errors import _check
 from .groups import GroupSpec, character_sum, divisors
 
 
@@ -79,7 +80,8 @@ def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> Coe
         for p in range(max_s + 1)
     ]
     series = _series_table(group, target, max_s, max_t)
-    assert closed == series, "closed-form and series tables disagree"
+    agree = closed == series
+    _check(agree, "closed-form and series tables agree", group=str(group), target=target)
     return CoeffTable(group, target, tuple(tuple(row) for row in closed))
 
 

@@ -13,8 +13,10 @@ of G exactly once, which is what makes the cycle-lemma bijections work.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, prod
 
+from .errors import _check
 from .groups import GroupSpec
 
 
@@ -80,6 +82,14 @@ def is_zero_sum_by_congruences(group: GroupSpec, vec) -> bool:
     return True
 
 
+def _sum_coord(group: GroupSpec, vec: tuple[int, ...], axis: int) -> int:
+    """Axis-th coordinate of the group sum of a checked vector: the weighted
+    digit sum sum_l vec[l] * digit_t(l) mod n_t, with no label arithmetic."""
+    n_t = group.invariant_factors[axis]
+    unit = prod(group.invariant_factors[:axis])
+    return sum(mult * (lab // unit % n_t) for lab, mult in enumerate(vec) if mult) % n_t
+
+
 def cyclic_shift(vec, l: int):
     """Rotate a vector left by l positions (entry at index i+l moves to i)."""
     vec = tuple(vec)
@@ -93,82 +103,73 @@ def translate(group: GroupSpec, vec, g: int):
     """Multiplicity vector of the translated multiset g + A.
 
     This is group translation, not label rotation: the count at label(h)
-    moves to label(h + g).
+    moves to label(h + g).  Adding g_t to the t-th digit rotates every block
+    of n_1*...*n_t consecutive labels right by g_t*n_1*...*n_{t-1}, so the
+    whole move is one block rotation per axis, linear in |G|.
     """
     vec = check_vector(group, vec)
-    out = [0] * group.order
-    for lab, mult in enumerate(vec):
-        if mult:
-            out[group.add(lab, g)] = mult
-    return tuple(out)
+    n = group.order
+    out = vec
+    unit = 1
+    for n_t, g_t in zip(group.invariant_factors, group.coords(g)):
+        block = unit * n_t
+        cut = block - g_t * unit
+        if g_t:
+            out = tuple(
+                chain.from_iterable(
+                    out[s + cut : s + block] + out[s : s + cut] for s in range(0, n, block)
+                )
+            )
+        unit = block
+    return out
 
 
 def weighted_label_sum(vec) -> int:
-    """sum_i i * vec[i]; the stage-0 invariant of the staged shift."""
+    """sum_i i * vec[i]; mod n it is the sum's label over a cyclic group."""
     return sum(i * x for i, x in enumerate(vec))
 
 
 def zero_sum_shift(group: GroupSpec, vec) -> tuple[int, tuple[int, ...]]:
     """The unique left rotation of vec whose multiset sums to the identity.
 
-    Requires gcd(mass, |G|) = 1.  Runs the staged construction: stage 0
-    rotates by the unique l in [0, n) with sum_i i*x_i = l*mass (mod n),
-    which settles the first congruence; stage t (t = 2..r) then rotates by a
-    multiple of n_1*...*n_{t-1}, fixing the mod-n_t congruence without
-    disturbing the earlier ones.  Returns (total shift, rotated vector).
+    Requires gcd(mass, |G|) = 1; this is :func:`target_sum_shift` with
+    target 0.  Returns (total shift, rotated vector).
     """
-    vec = check_vector(group, vec)
-    n = group.order
-    mass = sum(vec)
-    if gcd(mass, n) != 1:
-        raise ValueError(f"mass {mass} is not coprime to group order {n}")
-    alpha = weighted_label_sum(vec) % n
-    shift = alpha * pow(mass, -1, n) % n
-    out = cyclic_shift(vec, shift)
-    ns = group.invariant_factors
-    for axis in range(1, group.rank):
-        n_t = ns[axis]
-        totals = digit_totals(group, out, axis)
-        alpha_t = sum(k * a for k, a in enumerate(totals)) % n_t
-        l_t = alpha_t * pow(mass, -1, n_t) % n_t
-        delta = l_t * prod(ns[:axis])
-        out = cyclic_shift(out, delta)
-        shift = (shift + delta) % n
-    assert is_zero_sum_by_congruences(group, out)
-    return shift, out
+    return target_sum_shift(group, vec, 0)
 
 
 def target_sum_shift(group: GroupSpec, vec, target: int) -> tuple[int, tuple[int, ...]]:
     """The unique left rotation of vec whose multiset sums to target.
 
-    Same staged idea as :func:`zero_sum_shift` but driven one mixed-radix
-    digit at a time: rotating by a multiple of n_1*...*n_{t-1} moves the t-th
-    coordinate of the sum by -mass per unit while leaving coordinates below t
-    unchanged.
+    Requires gcd(mass, |G|) = 1.  Staged construction, one mixed-radix digit
+    at a time: rotating by a multiple of n_1*...*n_{t-1} moves the t-th
+    coordinate of the sum by -mass per unit while leaving coordinates below
+    t unchanged, so stage t settles the mod-n_t congruence for good.  Each
+    stage is linear in |G|.  Returns (total shift, rotated vector).
     """
     vec = check_vector(group, vec)
+    goal = group.coords(target)
     n = group.order
     mass = sum(vec)
     if gcd(mass, n) != 1:
         raise ValueError(f"mass {mass} is not coprime to group order {n}")
-    goal = group.coords(target)
-    ns = group.invariant_factors
     out = vec
     shift = 0
-    for axis, n_t in enumerate(ns):
-        totals = digit_totals(group, out, axis)
-        alpha_t = sum(k * a for k, a in enumerate(totals)) % n_t
-        l_t = (alpha_t - goal[axis]) * pow(mass, -1, n_t) % n_t
-        delta = l_t * prod(ns[:axis])
-        out = cyclic_shift(out, delta)
-        shift = (shift + delta) % n
-    assert sequence_sum(group, out) == target
+    unit = 1
+    for axis, n_t in enumerate(group.invariant_factors):
+        l_t = (_sum_coord(group, out, axis) - goal[axis]) * pow(mass, -1, n_t) % n_t
+        out = cyclic_shift(out, l_t * unit)
+        shift += l_t * unit
+        unit *= n_t
+    reached = all(_sum_coord(group, out, axis) == a for axis, a in enumerate(goal))
+    _check(reached, "staged shift reaches the target sum", target=target, mass=mass, shift=shift)
     return shift, out
 
 
 def rotations_with_sum(group: GroupSpec, vec, target: int) -> list[int]:
     """All shifts l whose rotation sums to target; brute scan for cross-checks."""
     vec = check_vector(group, vec)
+    group.check_label(target)
     return [
         l
         for l in range(group.order)

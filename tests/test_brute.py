@@ -8,14 +8,19 @@ import pytest
 from zscomb import (
     EnumerationLimitError,
     GroupSpec,
+    count_pairs_coefficient,
+    count_sequences,
+    count_subsets,
     default_limit,
     enum_pairs,
     enum_sequences,
     enum_subsets,
     is_zero_sum,
+    rotations_with_sum,
     sequence_sum,
     sequences_by_sum,
     subsets_by_sum,
+    target_sum_shift,
 )
 
 
@@ -114,3 +119,23 @@ def test_histograms_match_enumeration():
         assert sum(hist.values()) == comb(g.order, k)
         for t in g.elements():
             assert hist.get(t, 0) == len(enum_subsets(g, k, t))
+
+
+def test_out_of_range_target_rejected_everywhere():
+    g = GroupSpec((5,))
+    calls = (
+        lambda t: enum_sequences(g, 2, target=t),
+        lambda t: enum_subsets(g, 2, target=t),
+        lambda t: enum_pairs(g, 1, 1, target=t),
+        lambda t: count_sequences(g, 2, t),
+        lambda t: count_subsets(g, 2, t),
+        lambda t: count_subsets(g, 0, t),  # boundary size, no divisor sum
+        lambda t: count_pairs_coefficient(g, t, 1, 6),  # k > n, no divisor sum
+        lambda t: target_sum_shift(g, (1, 0, 0, 0, 0), t),
+        lambda t: rotations_with_sum(g, (1, 0, 0, 0, 0), t),
+    )
+    for call in calls:
+        for bad in (99, 5, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                call(bad)
+        call(4)  # the largest label is fine

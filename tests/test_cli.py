@@ -1,7 +1,13 @@
 """CLI grammar, golden outputs, and exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
+import zscomb
+from zscomb import counting, dyck
 from zscomb.cli import run
 
 
@@ -201,3 +207,50 @@ def test_determinism(capsys):
     a = invoke(capsys, "scan", "reciprocity", "--max-order", "6")
     b = invoke(capsys, "scan", "reciprocity", "--max-order", "6")
     assert a == b
+
+
+def test_broken_invariant_exit_3(capsys, monkeypatch):
+    real = dyck._cycle_lemma_start
+    monkeypatch.setattr(dyck, "_cycle_lemma_start", lambda steps: (real(steps) + 1) % len(steps))
+    code, out = invoke(
+        capsys, "biject", "seq-to-dyck", "--group", "7", "--vector", "0,0,1,1,1,0,2"
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "InvariantError"
+    assert payload["check"] == "cycle-lemma rotation is a Dyck path"
+    assert payload["context"] == {"order": 7, "mass": 5, "rotation": 3}
+    code, out = invoke(capsys, "biject", "subset-to-dyck", "--group", "5", "--subset", "0,1,0,0,1")
+    assert code == 3
+    assert json.loads(out)["context"] == {"order": 5, "size": 2, "rotation": 3}
+
+
+def test_inexact_division_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "comb", lambda a, b: math.comb(a, b) + 1)
+    code, out = invoke(capsys, "count", "sequences", "--group", "7", "--length", "5")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "ExactDivisionError",
+        "reason": "793 is not divisible by 12",
+    }
+
+
+def test_invariant_check_survives_optimize_flag():
+    script = (
+        "import sys\n"
+        "from zscomb import dyck\n"
+        "real = dyck._cycle_lemma_start\n"
+        "dyck._cycle_lemma_start = lambda steps: (real(steps) + 1) % len(steps)\n"
+        "from zscomb.cli import run\n"
+        "sys.exit(run(['biject', 'seq-to-dyck', '--group', '7', '--vector', '0,0,1,1,1,0,2']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zscomb.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["error"] == "InvariantError"

@@ -1,5 +1,6 @@
 """Rational Dyck paths and the rotation bijections into them."""
 
+import random
 from math import gcd
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from zscomb import (
     EnumerationLimitError,
     GroupSpec,
+    InvariantError,
     all_abelian_groups,
+    cyclic_shift,
     dyck_to_sequence,
     dyck_to_subset,
     enum_dyck,
@@ -20,7 +23,9 @@ from zscomb import (
     sequence_to_dyck,
     subset_to_dyck,
     word_to_gaps,
+    zero_sum_shift,
 )
+from zscomb.dyck import _cycle_lemma_start
 
 
 def test_word_gap_roundtrip():
@@ -140,3 +145,34 @@ def test_subset_golden():
     g = GroupSpec((5,))
     assert subset_to_dyck(g, (0, 1, 0, 0, 1)) == ("00101", 2)
     assert dyck_to_subset(g, "00101") == ((0, 1, 0, 0, 1), 3)
+
+
+def _subset_to_dyck_by_scan(group, bits):
+    """Reference: build all n rotated words and keep the one Dyck word."""
+    n, k = group.order, sum(bits)
+    words = ["".join(map(str, cyclic_shift(bits, l))) for l in range(n)]
+    hits = [l for l, w in enumerate(words) if is_dyck(k, n - k, w)]
+    assert len(hits) == 1
+    return words[hits[0]], hits[0]
+
+
+def test_subset_to_dyck_matches_rotation_scan():
+    rng = random.Random(1905)
+    for factors in ((7,), (2, 2), (3, 3), (2, 6), (5, 10), (2, 2, 4), (97,), (4, 20), (211,)):
+        g = GroupSpec(factors)
+        n = g.order
+        for _ in range(12):
+            k = rng.choice([k for k in range(1, n) if gcd(k, n) == 1])
+            labels = set(rng.sample(range(n), k))
+            _, bits = zero_sum_shift(g, tuple(int(i in labels) for i in range(n)))
+            assert subset_to_dyck(g, bits) == _subset_to_dyck_by_scan(g, bits)
+
+
+def test_cycle_lemma_start():
+    assert _cycle_lemma_start([2, -1, -1]) == 0
+    assert _cycle_lemma_start([-1, -1, 2]) == 2  # heights 0, -1, -2
+    assert _cycle_lemma_start([0]) == 0
+    with pytest.raises(InvariantError) as info:
+        _cycle_lemma_start([1, -1, 1, -1])  # heights 0, 1, 0, 1: two minima
+    assert info.value.check == "prefix-height minimum is unique"
+    assert info.value.context == {"length": 4, "low": 0}

@@ -69,6 +69,15 @@ def test_trivial_group():
     assert t.add(0, 0) == 0 and t.negate(0) == 0
 
 
+def test_check_label():
+    g = GroupSpec((2, 4))
+    assert [g.check_label(lab) for lab in g.elements()] == list(range(8))
+    for bad in (8, -1, 99):
+        with pytest.raises(ValueError, match="out of range for order 8"):
+            g.check_label(bad)
+    assert GroupSpec(()).check_label(0) == 0
+
+
 def test_label_roundtrip():
     g = GroupSpec((2, 2, 4))
     assert g.order == 16

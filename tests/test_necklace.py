@@ -1,5 +1,6 @@
 """Necklace readings and the rotation/translation/pair bijections."""
 
+import random
 from math import gcd
 
 import pytest
@@ -22,8 +23,10 @@ from zscomb import (
     sequence_to_necklace,
     subset_reci_predicate,
     sum_all_elements_is_zero,
+    target_sum_shift,
     translate_complement_bijection,
     v2,
+    zero_sum_shift,
 )
 
 
@@ -36,6 +39,28 @@ def test_canonical_rotation():
     assert canonical_rotation("BRBRR") == "RRBRB"
     assert canonical_rotation("GGB") == "GGB"
     assert canonical_rotation("BGR") == "RBG"
+    assert canonical_rotation("") == ""
+    with pytest.raises(ValueError):
+        canonical_rotation("RXB")
+
+
+def _canonical_rotation_by_min(word):
+    """Reference: the least of all rotations under R < G < B."""
+    rank = {"R": 0, "G": 1, "B": 2}
+    rotations = (word[i:] + word[:i] for i in range(len(word)))
+    return min(rotations, key=lambda w: [rank[c] for c in w], default=word)
+
+
+def test_canonical_rotation_matches_min_over_rotations():
+    rng = random.Random(1980)
+    words = ["", "R", "B", "G", "RB" * 6, "BR" * 5, "GRB" * 4, "BBRBBRBBR", "RRRRB"]
+    for _ in range(600):
+        colors = rng.choice(["RB", "RGB", "GB", "B"])
+        block = "".join(rng.choice(colors) for _ in range(rng.randint(1, 12)))
+        # repeated blocks give periodic words, where several starts tie
+        words.append(block * rng.choice([1, 1, 2, 3, 5]))
+    for word in words:
+        assert canonical_rotation(word) == _canonical_rotation_by_min(word), word
 
 
 def test_worked_example_necklace():
@@ -142,6 +167,43 @@ def test_translate_complement_bijective_where_defined():
             assert sorted(images) == sorted(enum_subsets(g, n - k, 0))
 
 
+def _translate_complement_by_scan(group, bits):
+    """Reference: scan every label for k*x = e and translate label by label."""
+    n, k = group.order, sum(bits)
+    comp = tuple(1 - b for b in bits)
+    e = sequence_sum(group, [1] * n)
+    if e == 0:
+        return comp, 0
+    xs = [x for x in group.elements() if group.scalar_mul(k, x) == e]
+    if not xs:
+        raise ValueError("no solution")
+    x = min(xs)
+    out = [0] * n
+    for lab, bit in enumerate(comp):
+        out[group.add(lab, x)] = bit
+    return tuple(out), x
+
+
+def test_translate_complement_matches_label_scan():
+    rng = random.Random(2019)
+    for factors in ((4,), (6,), (8,), (12,), (3, 6), (3, 12), (5, 10), (2, 4), (2, 2, 2)):
+        g = GroupSpec(factors)
+        n = g.order
+        found = 0
+        while found < 12:
+            bits = tuple(rng.randint(0, 1) for _ in range(n))
+            if not 1 <= sum(bits) < n or not is_zero_sum(g, bits):
+                continue
+            found += 1
+            try:
+                expected = _translate_complement_by_scan(g, bits)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    translate_complement_bijection(g, bits)
+                continue
+            assert translate_complement_bijection(g, bits) == expected
+
+
 def test_translate_complement_no_solution():
     # over C_6 all elements sum to e = 3; for even k the equation k*x = 3
     # has an even left side mod 6 and no solution
@@ -200,3 +262,51 @@ def test_pair_bijection_preconditions():
     with pytest.raises(ValueError):
         # pair sum is not zero
         pair_bijection(g2, g2, (0, 1), (1, 0))
+
+
+def _pair_bijection_by_reads(group, other, seq_vec, subset_bits):
+    """Reference: read the blue gaps at every marker and keep the one read
+    whose gaps equal the zero-sum rotation of the first read's gaps."""
+    _, pinned = zero_sum_shift(group, seq_vec)
+    word = "".join(
+        "R" * pinned[i] + ("G" if subset_bits[i] else "B") for i in range(group.order)
+    )
+    reads = []
+    for pos in [i for i, c in enumerate(word) if c != "B"]:
+        gaps, pattern, run = [], [], 0
+        for c in word[pos + 1 :] + word[: pos + 1]:
+            if c == "B":
+                run += 1
+            else:
+                gaps.append(run)
+                pattern.append(1 if c == "G" else 0)
+                run = 0
+        reads.append((tuple(gaps), tuple(pattern)))
+    _, pinned_out = zero_sum_shift(other, reads[0][0])
+    matches = [pattern for gaps, pattern in reads if gaps == pinned_out]
+    assert len(matches) == 1
+    target = other.negate(sequence_sum(other, matches[0]))
+    return target_sum_shift(other, pinned_out, target)[1], matches[0]
+
+
+def test_pair_bijection_matches_all_marker_reads():
+    rng = random.Random(1947)
+    checked = 0
+    while checked < 150:
+        q_plus_m = rng.randint(1, 60)
+        m = rng.randint(0, q_plus_m)
+        q = q_plus_m - m
+        p = rng.randint(0, 60)
+        if p + m < 1 or gcd(p, q + m) != 1 or gcd(q, p + m) != 1:
+            continue
+        g = rng.choice(all_abelian_groups(q_plus_m))
+        h = rng.choice(all_abelian_groups(p + m))
+        labels = set(rng.sample(range(q_plus_m), m))
+        bits = tuple(int(i in labels) for i in range(q_plus_m))
+        vec = [0] * q_plus_m
+        for _ in range(p):
+            vec[rng.randrange(q_plus_m)] += 1
+        # rotate A so that sum(A) + sum(B) = 0; p is coprime to |G|
+        _, vec = target_sum_shift(g, vec, g.negate(sequence_sum(g, bits)))
+        assert pair_bijection(g, h, vec, bits) == _pair_bijection_by_reads(g, h, vec, bits)
+        checked += 1

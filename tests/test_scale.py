@@ -1,0 +1,69 @@
+"""Every bijection both ways at |G| = 10^4.
+
+Each map is linear in |G| + mass, so this runs in well under a second; a
+map that scans all rotations or re-reads the necklace per marker would take
+minutes here.
+"""
+
+import random
+
+from zscomb import (
+    GroupSpec,
+    complement_bijection,
+    dyck_to_sequence,
+    dyck_to_subset,
+    is_zero_sum_by_congruences,
+    necklace_to_sequence,
+    pair_bijection,
+    reciprocity_bijection,
+    sequence_sum,
+    sequence_to_dyck,
+    sequence_to_necklace,
+    subset_to_dyck,
+    target_sum_shift,
+    translate_complement_bijection,
+    zero_sum_shift,
+)
+
+
+def test_every_bijection_both_ways_at_ten_thousand():
+    rng = random.Random(10_000)
+    g = GroupSpec((5, 2000))  # one even factor: translate-complement translates
+    n = g.order
+
+    def multiset(mass):
+        vec = [0] * n
+        for _ in range(mass):
+            vec[rng.randrange(n)] += 1
+        return vec
+
+    def subset(size):
+        labels = set(rng.sample(range(n), size))
+        return tuple(int(i in labels) for i in range(n))
+
+    _, vec = zero_sum_shift(g, multiset(3333))
+    gaps, rotation = sequence_to_dyck(g, vec)
+    assert dyck_to_sequence(g, gaps) == (vec, (n - rotation) % n)
+    assert necklace_to_sequence(g, sequence_to_necklace(g, vec)) == vec
+
+    h = GroupSpec((3333,))
+    image = reciprocity_bijection(g, h, vec)
+    assert sum(image) == n and is_zero_sum_by_congruences(h, image)
+    assert reciprocity_bijection(h, g, image) == vec
+
+    _, bits = zero_sum_shift(g, subset(3333))
+    word, rotation = subset_to_dyck(g, bits)
+    assert dyck_to_subset(g, word) == (bits, (n - rotation) % n)
+    comp, _ = complement_bijection(g, bits)
+    assert complement_bijection(g, comp)[0] == bits
+    for size, source in ((3333, bits), (n - 3333, comp)):
+        out, _ = translate_complement_bijection(g, source)
+        assert sum(out) == n - size and is_zero_sum_by_congruences(g, out)
+
+    # pair: p = 3333 red, m = 3000 green, q = 7000 blue beads
+    other = GroupSpec((6333,))
+    green = subset(3000)
+    _, red = target_sum_shift(g, multiset(3333), g.negate(sequence_sum(g, green)))
+    u_vec, v_bits = pair_bijection(g, other, red, green)
+    assert sum(u_vec) == 7000 and sum(v_bits) == 3000
+    assert pair_bijection(other, g, u_vec, v_bits) == (red, green)

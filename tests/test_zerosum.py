@@ -1,5 +1,6 @@
 """Vector sums, rotations, and the staged shift constructions."""
 
+import random
 from math import gcd
 
 import pytest
@@ -65,6 +66,24 @@ def test_translate_preserves_mass_and_shifts_sum(g, data):
     assert sum(out) == sum(vec)
     expected = g.add(sequence_sum(g, vec), g.scalar_mul(sum(vec), lab))
     assert sequence_sum(g, out) == expected
+
+
+def _translate_by_labels(group, vec, g):
+    """Reference: move each count with one label addition."""
+    out = [0] * group.order
+    for lab, mult in enumerate(vec):
+        out[group.add(lab, g)] = mult
+    return tuple(out)
+
+
+def test_translate_matches_label_additions():
+    rng = random.Random(22)
+    for factors in ((), (7,), (2, 2), (2, 6), (3, 3, 9), (2, 4, 8), (5, 60), (2, 2, 2, 2)):
+        g = GroupSpec(factors)
+        for _ in range(15):
+            vec = tuple(rng.randint(0, 3) for _ in range(g.order))
+            x = rng.randrange(g.order)
+            assert translate(g, vec, x) == _translate_by_labels(g, vec, x)
 
 
 def test_cyclic_shift_is_left_rotation():
