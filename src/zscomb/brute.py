@@ -2,7 +2,8 @@
 
 Everything here recounts by exhaustion what the closed formulas claim, so it
 is deliberately simple: iterate over candidate multisets or subsets in a
-fixed order, fold their group sums through an addition table, and filter.
+fixed order, add up their packed mixed-radix digits, and filter.  Setup is
+O(|G| * rank), so a call costs about as much as the candidates it visits.
 Candidate budgets guard against accidental blowups; the default admits about
 ten million candidates per call.
 """
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb
+from operator import eq, mod
 
 from .errors import EnumerationLimitError
 from .groups import GroupSpec
@@ -30,24 +31,42 @@ def default_limit() -> int:
 def _check_budget(candidates: int, limit: int | None) -> None:
     cap = default_limit() if limit is None else limit
     if candidates > cap:
-        raise EnumerationLimitError(
-            f"{candidates} candidates exceed the enumeration limit {cap}"
-        )
+        raise EnumerationLimitError(candidates, cap)
 
 
-@lru_cache(maxsize=None)
-def _add_table(group: GroupSpec) -> tuple[tuple[int, ...], ...]:
+class _Packing(dict):
+    """Each label's digits packed into one int, and the label of a packed sum.
+
+    packed[l] puts digit i of label l in a slot of (width * n_r).bit_length()
+    bits, so up to `width` packed labels add without carries between slots.
+    """
+
+    def __init__(self, group: GroupSpec, width: int):
+        self.group = group
+        self.bits = (width * group.exponent).bit_length()
+        self.packed = [0]
+        for i, n_i in enumerate(group.invariant_factors):
+            self.packed = [p + (d << i * self.bits) for d in range(n_i) for p in self.packed]
+
+    def __missing__(self, key: int) -> int:
+        mask = (1 << self.bits) - 1
+        slots = (key >> i * self.bits & mask for i in range(self.group.rank))
+        label = self[key] = self.group.label(map(mod, slots, self.group.invariant_factors))
+        return label
+
+
+def _candidates(group: GroupSpec, size: int, distinct: bool, limit: int | None):
+    """Label tuples of every size-`size` multiset (subset if distinct), in
+    combinations order, and in step with them the label of each one's sum."""
     n = group.order
-    return tuple(
-        tuple(group.add(g, h) for h in range(n)) for g in range(n)
-    )
-
-
-def _fold_sum(table, labels) -> int:
-    acc = 0
-    for lab in labels:
-        acc = table[acc][lab]
-    return acc
+    if distinct and not 0 <= size <= n:
+        raise ValueError(f"subset size {size} out of range for order {n}")
+    if size < 0:
+        raise ValueError(f"length must be >= 0, got {size}")
+    _check_budget(comb(n, size) if distinct else comb(n + size - 1, size), limit)
+    pick = combinations if distinct else combinations_with_replacement
+    pack = _Packing(group, size)
+    return pick(range(n), size), map(pack.__getitem__, map(sum, pick(pack.packed, size)))
 
 
 def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
@@ -57,6 +76,13 @@ def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _with_sum(group: GroupSpec, size: int, distinct: bool, target: int, limit: int | None):
+    group.check_label(target)
+    labels, sums = _candidates(group, size, distinct, limit)
+    hits = compress(labels, map(eq, repeat(target), sums))
+    return [_to_multiplicity(group.order, c) for c in hits]
+
+
 def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None = None):
     """All length-m multisets over the group with sum = target.
 
@@ -64,32 +90,12 @@ def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None 
     element tuples (combinations with replacement of labels), so the output
     is deterministic and duplicate-free.
     """
-    group.check_label(target)
-    n = group.order
-    if m < 0:
-        raise ValueError(f"length must be >= 0, got {m}")
-    _check_budget(comb(n + m - 1, m), limit)
-    table = _add_table(group)
-    out = []
-    for labels in combinations_with_replacement(range(n), m):
-        if _fold_sum(table, labels) == target:
-            out.append(_to_multiplicity(n, labels))
-    return out
+    return _with_sum(group, m, False, target, limit)
 
 
 def enum_subsets(group: GroupSpec, k: int, target: int = 0, limit: int | None = None):
     """All k-element subsets of the group with sum = target, as indicator vectors."""
-    group.check_label(target)
-    n = group.order
-    if not 0 <= k <= n:
-        raise ValueError(f"subset size {k} out of range for order {n}")
-    _check_budget(comb(n, k), limit)
-    table = _add_table(group)
-    out = []
-    for labels in combinations(range(n), k):
-        if _fold_sum(table, labels) == target:
-            out.append(_to_multiplicity(n, labels))
-    return out
+    return _with_sum(group, k, True, target, limit)
 
 
 def enum_pairs(
@@ -105,42 +111,26 @@ def enum_pairs(
     if p < 0 or not 0 <= k <= n:
         raise ValueError(f"bad pair shape p={p}, k={k} for order {n}")
     _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
-    table = _add_table(group)
-    subsets = [
-        (_fold_sum(table, labels), _to_multiplicity(n, labels))
-        for labels in combinations(range(n), k)
-    ]
+    by_sum: dict[int, list] = {}
+    for labels, t in zip(*_candidates(group, k, True, limit)):
+        by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
+    # a multiset of sum s pairs with the subsets of the one sum t = target - s
+    pack = _Packing(group, 2)
+    partners: dict[int, list] = {}
     out = []
-    for labels in combinations_with_replacement(range(n), p):
-        s = _fold_sum(table, labels)
-        vec = _to_multiplicity(n, labels)
-        for t, bits in subsets:
-            if table[s][t] == target:
-                out.append((vec, bits))
+    for labels, s in zip(*_candidates(group, p, False, limit)):
+        if s not in partners:
+            match = (t for t in by_sum if pack[pack.packed[s] + pack.packed[t]] == target)
+            partners[s] = by_sum.get(next(match, None), [])
+        out += zip(repeat(_to_multiplicity(n, labels)), partners[s])
     return out
 
 
 def sequences_by_sum(group: GroupSpec, m: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of length-m multisets."""
-    n = group.order
-    if m < 0:
-        raise ValueError(f"length must be >= 0, got {m}")
-    _check_budget(comb(n + m - 1, m), limit)
-    table = _add_table(group)
-    hist: Counter = Counter()
-    for labels in combinations_with_replacement(range(n), m):
-        hist[_fold_sum(table, labels)] += 1
-    return hist
+    return Counter(_candidates(group, m, False, limit)[1])
 
 
 def subsets_by_sum(group: GroupSpec, k: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of k-subsets."""
-    n = group.order
-    if not 0 <= k <= n:
-        raise ValueError(f"subset size {k} out of range for order {n}")
-    _check_budget(comb(n, k), limit)
-    table = _add_table(group)
-    hist: Counter = Counter()
-    for labels in combinations(range(n), k):
-        hist[_fold_sum(table, labels)] += 1
-    return hist
+    return Counter(_candidates(group, k, True, limit)[1])

@@ -97,8 +97,7 @@ def _h_enum_subsets(a):
 
 
 def _h_enum_dyck(a):
-    cap = a.limit if a.limit is not None else 24
-    items = enum_dyck(a.a, a.b, cap)
+    items = enum_dyck(a.a, a.b, a.limit)
     return {"count": str(len(items)), "items": items}, False
 
 
@@ -329,7 +328,10 @@ def run(argv=None) -> int:
     try:
         payload, failed = args.handler(args)
     except (ValueError, EnumerationLimitError) as exc:
-        _emit({"error": type(exc).__name__, "reason": str(exc)}, args.pretty)
+        fields = {"error": type(exc).__name__, "reason": str(exc)}
+        if isinstance(exc, EnumerationLimitError):
+            fields.update(candidates=str(exc.candidates), limit=str(exc.limit))
+        _emit(fields, args.pretty)
         return 2
     except InvariantError as exc:
         detail = {"check": exc.check, "context": exc.context}

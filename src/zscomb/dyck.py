@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, gcd
 
-from .errors import EnumerationLimitError, _check
+from .brute import _check_budget
+from .errors import _check
 from .groups import GroupSpec
 from .zerosum import (
     check_indicator,
@@ -26,8 +27,6 @@ from .zerosum import (
     is_zero_sum,
     zero_sum_shift,
 )
-
-ENUM_DEFAULT_MAX = 24
 
 
 def _check_shape(a: int, b: int) -> None:
@@ -91,31 +90,32 @@ def is_dyck(a: int, b: int, path) -> bool:
     return all(a * heights[i - 1] >= b * i for i in range(1, a))
 
 
-def enum_dyck(a: int, b: int, max_total: int = ENUM_DEFAULT_MAX) -> list[str]:
-    """All (a, b)-Dyck paths as step words in lexicographic order ('0' < '1')."""
+def enum_dyck(a: int, b: int, limit: int | None = None) -> list[str]:
+    """All (a, b)-Dyck paths as step words in lexicographic order ('0' < '1').
+
+    Charged Cat(a, b) = C(a+b, a) / (a+b) against the enumeration budget.
+    Each pop emits the smallest path through a prefix (north to b, then east)
+    and pushes the prefixes that step east lower down; no recursion.
+    """
     _check_shape(a, b)
-    if a + b > max_total:
-        raise EnumerationLimitError(
-            f"a + b = {a + b} exceeds the path enumeration cap {max_total}"
-        )
+    cat = comb(a + b, a) // (a + b)
+    _check_budget(cat, limit)
+    lowest = [-(-b * (x + 1) // a) for x in range(a)]  # east step x needs a*y >= b*(x+1)
     out: list[str] = []
-    word: list[str] = []
-
-    def walk(x: int, y: int) -> None:
-        if x == a and y == b:
-            out.append("".join(word))
-            return
-        if y < b:
-            word.append("0")
-            walk(x, y + 1)
-            word.pop()
-        if x < a and a * y >= b * (x + 1):
-            word.append("1")
-            walk(x + 1, y)
-            word.pop()
-
-    walk(0, 0)
-    _check(len(out) == comb(a + b, a) // (a + b), "Dyck path count is Cat(a, b)", a=a, b=b)
+    stack = [""]
+    while stack:
+        word = stack.pop()
+        x = word.count("1")
+        y = len(word) - x
+        if y < lowest[x]:
+            word += "0" * (lowest[x] - y)
+            y = lowest[x]
+        if x == a - 2:  # the children's completions are all forced
+            out += [word + "0" * (h - y) + "1" + "0" * (b - h) + "1" for h in range(b, y - 1, -1)]
+        else:
+            out.append(word + "0" * (b - y) + "1" * (a - x))
+            stack += [word + "0" * j + "1" for j in range(b - y)]
+    _check(len(out) == cat, "Dyck path count is Cat(a, b)", a=a, b=b)
     return out
 
 

@@ -11,7 +11,14 @@ class ExactDivisionError(ArithmeticError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """A brute-force enumeration would exceed its candidate budget."""
+    """A brute-force enumeration of `candidates` would exceed its budget `limit`."""
+
+    def __init__(self, candidates: int, limit: int):
+        super().__init__(candidates, limit)  # args rebuild it when unpickled
+        self.candidates, self.limit = candidates, limit
+
+    def __str__(self) -> str:
+        return f"{self.candidates} candidates exceed the enumeration limit {self.limit}"
 
 
 class InvariantError(RuntimeError):

@@ -45,9 +45,10 @@ def sequence_sum(group: GroupSpec, vec) -> int:
     acc = [0] * group.rank
     for lab, mult in enumerate(vec):
         if mult:
-            for i, a_i in enumerate(group.coords(lab)):
-                acc[i] = (acc[i] + mult * a_i) % ns[i]
-    return group.label(acc)
+            for i, n_i in enumerate(ns):
+                lab, a_i = divmod(lab, n_i)
+                acc[i] += mult * a_i
+    return group.label(a % n_i for a, n_i in zip(acc, ns))
 
 
 def is_zero_sum(group: GroupSpec, vec) -> bool:

@@ -1,6 +1,8 @@
 """The enumeration oracles themselves: shapes, order, budgets."""
 
-from itertools import combinations
+import random
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -139,3 +141,56 @@ def test_out_of_range_target_rejected_everywhere():
             with pytest.raises(ValueError, match="out of range"):
                 call(bad)
         call(4)  # the largest label is fine
+
+
+def _reference(group, size, distinct):
+    """(labels, sum) of every candidate, the sum folded label by label
+    through GroupSpec.add."""
+    pick = combinations if distinct else combinations_with_replacement
+    out = []
+    for labels in pick(range(group.order), size):
+        acc = 0
+        for lab in labels:
+            acc = group.add(acc, lab)
+        out.append((labels, acc))
+    return out
+
+
+def _vector(group, labels):
+    return tuple(labels.count(lab) for lab in group.elements())
+
+
+def test_enumerators_match_reference_fold():
+    rng = random.Random(3)
+    # (factors, largest multiset size, largest subset size, pair shape);
+    # m = 5 on (3, 3) sums digits up to 10, past the 2 bits one digit needs
+    cases = [
+        ((), 4, 1, (3, 1)),
+        ((7,), 4, 4, (2, 3)),
+        ((2, 6), 3, 3, (2, 2)),
+        ((2, 2, 4), 3, 2, (2, 2)),
+        ((3, 3, 9), 2, 2, (1, 1)),
+        ((3, 3), 5, 4, (3, 2)),
+    ]
+    for factors, max_m, max_k, (p, k) in cases:
+        g = GroupSpec(factors)
+        for size in range(max(max_m, max_k) + 1):
+            for distinct, max_size in ((False, max_m), (True, max_k)):
+                if size > max_size:
+                    continue
+                ref = _reference(g, size, distinct)
+                hist = (subsets_by_sum if distinct else sequences_by_sum)(g, size)
+                assert list(hist.items()) == list(Counter(s for _, s in ref).items())
+                enum = enum_subsets if distinct else enum_sequences
+                for target in {0, rng.randrange(g.order), rng.randrange(g.order)}:
+                    expected = [_vector(g, labels) for labels, s in ref if s == target]
+                    assert enum(g, size, target) == expected, (factors, size, target)
+        multisets, subsets = _reference(g, p, False), _reference(g, k, True)
+        for target in {0, rng.randrange(g.order)}:
+            expected = [
+                (_vector(g, u), _vector(g, v))
+                for u, su in multisets
+                for v, sv in subsets
+                if g.add(su, sv) == target
+            ]
+            assert enum_pairs(g, p, k, target) == expected, (factors, p, k, target)

@@ -71,6 +71,19 @@ def test_enum_dyck(capsys):
     assert json.loads(out) == {"count": "2", "items": ["00111", "01011"]}
 
 
+def test_enum_dyck_limit_is_a_path_budget(capsys):
+    code, out = invoke(capsys, "enum", "dyck", "--a", "3", "--b", "2", "--limit", "4")
+    assert (code, out) == (0, '{"count":"2","items":["00111","01011"]}\n')
+    code, out = invoke(capsys, "enum", "dyck", "--a", "3", "--b", "2", "--limit", "1")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "EnumerationLimitError",
+        "reason": "2 candidates exceed the enumeration limit 1",
+        "candidates": "2",
+        "limit": "1",
+    }
+
+
 def test_enum_pairs(capsys):
     code, out = invoke(
         capsys, "enum", "pairs", "--group", "2", "--p", "1", "--k", "1"
@@ -186,7 +199,9 @@ def test_limit_flag_exit_2(capsys):
         "enum", "sequences", "--group", "12", "--length", "10", "--limit", "100",
     )
     assert code == 2
-    assert json.loads(out)["error"] == "EnumerationLimitError"
+    payload = json.loads(out)
+    assert payload["error"] == "EnumerationLimitError"
+    assert (payload["candidates"], payload["limit"]) == ("352716", "100")
 
 
 def test_pretty_flag(capsys):

@@ -1,6 +1,8 @@
 """Rational Dyck paths and the rotation bijections into them."""
 
+import pickle
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -67,11 +69,32 @@ def test_enum_dyck_counts_and_order():
         assert len(paths) == rational_catalan(a, b)
         assert paths == sorted(paths)
         assert len(set(paths)) == len(paths)
+        # reference: every step word, filtered by is_dyck
+        words = (
+            "".join("1" if i in east else "0" for i in range(a + b))
+            for east in combinations(range(a + b), a)
+        )
+        assert paths == sorted(w for w in words if is_dyck(a, b, w))
 
 
 def test_enum_dyck_cap():
     with pytest.raises(EnumerationLimitError):
-        enum_dyck(20, 21, max_total=24)
+        enum_dyck(20, 21, limit=24)
+
+
+def test_enum_dyck_budget_counts_paths_not_length():
+    assert enum_dyck(3, 2, limit=2) == ["00111", "01011"]
+    with pytest.raises(EnumerationLimitError) as info:
+        enum_dyck(3, 2, limit=1)
+    assert (info.value.candidates, info.value.limit) == (2, 1)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (copy.candidates, copy.limit, str(copy)) == (2, 1, str(info.value))
+    # long paths with few of them: Cat(2, 2001) = 1001, and the walk needs
+    # no recursion as deep as the path is long
+    paths = enum_dyck(2, 2001)
+    assert len(paths) == 1001 and paths == sorted(paths)
+    assert paths[0] == "0" * 2001 + "11" and paths[-1] == "0" * 1001 + "1" + "0" * 1000 + "1"
+    assert enum_dyck(3001, 2)[0] == "00" + "1" * 3001
 
 
 def test_worked_example_sequence_to_dyck():

@@ -1,17 +1,20 @@
-"""Every bijection both ways at |G| = 10^4.
+"""Every bijection both ways at |G| = 10^4, and enumeration memory at 2^11.
 
 Each map is linear in |G| + mass, so this runs in well under a second; a
 map that scans all rotations or re-reads the necklace per marker would take
-minutes here.
+minutes here.  An enumerator's setup is O(|G| * rank), so listing the
+2048 one-element subsets needs kilobytes, not an |G| x |G| table.
 """
 
 import random
+import tracemalloc
 
 from zscomb import (
     GroupSpec,
     complement_bijection,
     dyck_to_sequence,
     dyck_to_subset,
+    enum_subsets,
     is_zero_sum_by_congruences,
     necklace_to_sequence,
     pair_bijection,
@@ -67,3 +70,15 @@ def test_every_bijection_both_ways_at_ten_thousand():
     u_vec, v_bits = pair_bijection(g, other, red, green)
     assert sum(u_vec) == 7000 and sum(v_bits) == 3000
     assert pair_bijection(other, g, u_vec, v_bits) == (red, green)
+
+
+def test_enum_subsets_memory_is_linear_in_the_group():
+    for g in (GroupSpec((2048,)), GroupSpec((2,) * 11)):
+        tracemalloc.start()
+        try:
+            out = enum_subsets(g, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == [(1,) + (0,) * 2047]
+        assert peak < 4 * 2**20, (g, peak)
