@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+
+import pytest
 
 import zscomb
 from zscomb import counting, dyck
@@ -15,6 +18,115 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# One exact-stdout golden per leaf command, plus --pretty and the exit-2 shapes.
+GOLDEN = [
+    ("count sequences --group 7 --length 5", 0, '{"count":"66"}'),
+    ("count subsets --group 2,2,4 --size 3 --target 5", 0, '{"count":"35"}'),
+    ("count catalan --a 7 --b 5", 0, '{"count":"66"}'),
+    ("count pair-dim --p 2 --q 1 --m 1 --group 2", 0, '{"count":"3"}'),
+    ("enum sequences --group 3 --length 2", 0, '{"count":"2","items":["2,0,0","0,1,1"]}'),
+    (
+        "enum subsets --group 5 --size 2",
+        0,
+        '{"count":"2","items":["0,1,0,0,1","0,0,1,1,0"]}',
+    ),
+    ("enum dyck --a 3 --b 2", 0, '{"count":"2","items":["00111","01011"]}'),
+    (
+        "enum pairs --group 2 --p 1 --k 1",
+        0,
+        '{"count":"2","items":[{"sequence":"1,0","subset":"1,0"},'
+        '{"sequence":"0,1","subset":"0,1"}]}',
+    ),
+    (
+        "biject seq-to-dyck --group 7 --vector 0,0,1,1,1,0,2",
+        0,
+        '{"gaps":"1,1,1,0,2,0,0","rotation":"2"}',
+    ),
+    (
+        "biject dyck-to-seq --group 7 --gaps 1,1,1,0,2,0,0",
+        0,
+        '{"vector":"0,0,1,1,1,0,2","shift":"5"}',
+    ),
+    ("biject subset-to-dyck --group 5 --subset 0,1,0,0,1", 0, '{"word":"00101","rotation":"2"}'),
+    ("biject dyck-to-subset --group 5 --word 00101", 0, '{"subset":"0,1,0,0,1","shift":"3"}'),
+    ("biject reciprocity --group 7 --other 5 --vector 0,0,1,1,1,0,2", 0, '{"vector":"1,2,0,3,1"}'),
+    ("biject complement --group 4 --subset 1,0,0,0", 0, '{"subset":"1,1,0,1","shift":"2"}'),
+    (
+        "biject translate-complement --group 4 --subset 0,1,0,1",
+        0,
+        '{"subset":"0,1,0,1","translation":"1"}',
+    ),
+    (
+        "biject pair --group 3 --other 4 --vector 2,0,0 --subset 0,1,1",
+        0,
+        '{"sequence":"0,0,0,1","subset":"1,1,0,0"}',
+    ),
+    (
+        "poincare table --group 2,2 --target 0 --max-s 2 --max-t 2",
+        0,
+        '{"group":"2,2","target":0,"coeffs":[["1","1","0"],["1","4","6"],["4","10","12"]]}',
+    ),
+    (
+        "poincare check --group 2 --target 1 --max-s 2 --max-t 1",
+        0,
+        '{"theorem":"series","scanned":6,"failures":[],"rows":[{"group":"2","target":1,'
+        '"max_s":2,"max_t":1,"entries":6,"ok":true}]}',
+    ),
+    (
+        "verify subset-reci --max-order 3",
+        0,
+        '{"theorem":"subset-reci","scanned":3,"failures":[],"rows":['
+        '{"group":"2","k":1,"count_k":"1","count_nk":"1","predicate":true},'
+        '{"group":"3","k":1,"count_k":"1","count_nk":"1","predicate":true},'
+        '{"group":"3","k":2,"count_k":"1","count_nk":"1","predicate":true}]}',
+    ),
+    (
+        "verify gcp --max-order 3 --primes 2,3",
+        0,
+        '{"theorem":"gcp","scanned":6,"failures":[],"rows":['
+        '{"group":"1","p":2,"left":"1","right":"1","predicate":true},'
+        '{"group":"1","p":3,"left":"1","right":"1","predicate":true},'
+        '{"group":"2","p":2,"left":"2","right":"2","predicate":true},'
+        '{"group":"2","p":3,"left":"2","right":"2","predicate":true},'
+        '{"group":"3","p":2,"left":"2","right":"2","predicate":true},'
+        '{"group":"3","p":3,"left":"4","right":"4","predicate":true}]}',
+    ),
+    (
+        "verify cnr --n 2 --m 3 --r 1",
+        0,
+        '{"theorem":"cnr","scanned":1,"failures":[],"rows":[{"n":2,"m":3,"r":1,"left":"2",'
+        '"right":"2","oracle_checked":["2","3"],"catalan":"2"}]}',
+    ),
+    (
+        "verify series --group 2 --max-s 1 --max-t 1",
+        0,
+        '{"theorem":"series","scanned":4,"failures":[],"rows":[{"group":"2","target":0,'
+        '"max_s":1,"max_t":1,"entries":4,"ok":true}]}',
+    ),
+    (
+        "scan reciprocity --max-order 2",
+        0,
+        '{"theorem":"reciprocity-scan","scanned":3,"failures":[],"rows":['
+        '{"group":"1","other":"1","left":"1","right":"1","equal":true,"coprime_orders":true},'
+        '{"group":"1","other":"2","left":"1","right":"1","equal":true,"coprime_orders":true},'
+        '{"group":"2","other":"2","left":"2","right":"2","equal":true,"coprime_orders":false}]}',
+    ),
+    ("count sequences --group 2,2 --length 3 --pretty", 0, '{\n  "count": "5"\n}'),
+    ("count catalan --a 4 --b 2", 2, '{"error":"ValueError","reason":"(4, 2) are not coprime"}'),
+    (
+        "enum dyck --a 3 --b 2 --limit 1",
+        2,
+        '{"error":"EnumerationLimitError","reason":"2 candidates exceed the enumeration limit 1",'
+        '"candidates":"2","limit":"1"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden(capsys, argv, code, out):
+    assert invoke(capsys, *shlex.split(argv)) == (code, out + "\n")
 
 
 def test_count_sequences_golden(capsys):
@@ -231,10 +343,11 @@ def test_broken_invariant_exit_3(capsys, monkeypatch):
         capsys, "biject", "seq-to-dyck", "--group", "7", "--vector", "0,0,1,1,1,0,2"
     )
     assert code == 3
-    payload = json.loads(out)
-    assert payload["error"] == "InvariantError"
-    assert payload["check"] == "cycle-lemma rotation is a Dyck path"
-    assert payload["context"] == {"order": 7, "mass": 5, "rotation": 3}
+    assert out == (
+        '{"error":"InvariantError","reason":"cycle-lemma rotation is a Dyck path '
+        '(order=7, mass=5, rotation=3)","check":"cycle-lemma rotation is a Dyck path",'
+        '"context":{"order":7,"mass":5,"rotation":3}}\n'
+    )
     code, out = invoke(capsys, "biject", "subset-to-dyck", "--group", "5", "--subset", "0,1,0,0,1")
     assert code == 3
     assert json.loads(out)["context"] == {"order": 5, "size": 2, "rotation": 3}
@@ -243,11 +356,7 @@ def test_broken_invariant_exit_3(capsys, monkeypatch):
 def test_inexact_division_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(counting, "comb", lambda a, b: math.comb(a, b) + 1)
     code, out = invoke(capsys, "count", "sequences", "--group", "7", "--length", "5")
-    assert code == 3
-    assert json.loads(out) == {
-        "error": "ExactDivisionError",
-        "reason": "793 is not divisible by 12",
-    }
+    assert (code, out) == (3, '{"error":"ExactDivisionError","reason":"793 is not divisible by 12"}\n')
 
 
 def test_invariant_check_survives_optimize_flag():
