@@ -76,12 +76,17 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     return exact_div(total, n + m)
 
 
-def rational_catalan(a: int, b: int) -> int:
-    """C(a+b, a) / (a+b) for coprime a, b >= 1."""
+def _check_shape(a: int, b: int) -> None:
+    """The (a, b) of a rational Catalan number or Dyck path: coprime, both >= 1."""
     if a < 1 or b < 1:
         raise ValueError(f"need a, b >= 1, got ({a}, {b})")
     if gcd(a, b) != 1:
         raise ValueError(f"({a}, {b}) are not coprime")
+
+
+def rational_catalan(a: int, b: int) -> int:
+    """C(a+b, a) / (a+b) for coprime a, b >= 1."""
+    _check_shape(a, b)
     return exact_div(comb(a + b, a), a + b)
 
 

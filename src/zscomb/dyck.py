@@ -15,9 +15,9 @@ point is involved anywhere.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, gcd
 
 from .brute import _check_budget
+from .counting import _check_shape, rational_catalan
 from .errors import _check
 from .groups import GroupSpec
 from .zerosum import (
@@ -27,13 +27,6 @@ from .zerosum import (
     is_zero_sum,
     zero_sum_shift,
 )
-
-
-def _check_shape(a: int, b: int) -> None:
-    if a < 1 or b < 1:
-        raise ValueError(f"need a, b >= 1, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
 
 
 def gaps_to_word(gaps) -> str:
@@ -97,8 +90,7 @@ def enum_dyck(a: int, b: int, limit: int | None = None) -> list[str]:
     Each pop emits the smallest path through a prefix (north to b, then east)
     and pushes the prefixes that step east lower down; no recursion.
     """
-    _check_shape(a, b)
-    cat = comb(a + b, a) // (a + b)
+    cat = rational_catalan(a, b)
     _check_budget(cat, limit)
     lowest = [-(-b * (x + 1) // a) for x in range(a)]  # east step x needs a*y >= b*(x+1)
     out: list[str] = []

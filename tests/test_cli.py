@@ -129,6 +129,25 @@ def test_golden(capsys, argv, code, out):
     assert invoke(capsys, *shlex.split(argv)) == (code, out + "\n")
 
 
+def readme_examples():
+    """(argv, stdout line) of each `$ zscomb` line in the README followed by its output."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    return [
+        (command.removeprefix("$ zscomb "), out)
+        for command, out in zip(lines, lines[1:])
+        if command.startswith("$ zscomb ") and not out.startswith(("$", "```"))
+    ]
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 7
+    for argv, out in examples:
+        assert invoke(capsys, *shlex.split(argv, comments=True))[1] == out + "\n", argv
+
+
 def test_count_sequences_golden(capsys):
     code, out = invoke(capsys, "count", "sequences", "--group", "2,2", "--length", "3")
     assert code == 0
@@ -293,6 +312,26 @@ def test_usage_error_exit_2(capsys):
     assert run(["count", "sequences", "--group", "2,2"]) == 2  # missing --length
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+    for argv in (
+        "count sequences --group 7 --length 3 --limit 0",  # --limit only where a budget is charged
+        "biject complement --group 4 --subset 1,0,0,0 --limit 5",
+        "verify gcp --limit 5",
+        "enum dyck --a 2 --b 3 --limit -1",
+        "verify series --group 2 --limit -1",
+        "count sequences --group 2,x --length 3",
+        "biject seq-to-dyck --group 7 --vector 1,a",
+    ):
+        assert run(shlex.split(argv)) == 2, argv
+    # every usage error is one JSON line on stdout
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(json.loads(line)["error"] == "UsageError" for line in lines)
+    assert json.loads(lines[3]) == {
+        "error": "UsageError",
+        "reason": "the following arguments are required: command",
+    }
+    assert json.loads(lines[4])["reason"] == "unrecognized arguments: --limit 0"
+    assert json.loads(lines[7])["reason"] == "argument --limit: the budget must be >= 0, got -1"
 
 
 def test_precondition_error_exit_2(capsys):
@@ -314,6 +353,14 @@ def test_limit_flag_exit_2(capsys):
     payload = json.loads(out)
     assert payload["error"] == "EnumerationLimitError"
     assert (payload["candidates"], payload["limit"]) == ("352716", "100")
+    code, out = invoke(capsys, "enum", "dyck", "--a", "2", "--b", "3", "--limit", "0")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "EnumerationLimitError",
+        "reason": "2 candidates exceed the enumeration limit 0",
+        "candidates": "2",
+        "limit": "0",
+    }
 
 
 def test_pretty_flag(capsys):
@@ -328,6 +375,13 @@ def test_pretty_flag(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "count" in capsys.readouterr().out
+    budgeted = {"enum sequences", "enum subsets", "enum dyck", "enum pairs", "poincare check",
+                "verify series"}
+    leaves = {" ".join(argv.split()[:2]) for argv, _, _ in GOLDEN}
+    assert len(leaves) == 23 and budgeted < leaves
+    for leaf in leaves:
+        assert run([*leaf.split(), "--help"]) == 0
+        assert ("--limit" in capsys.readouterr().out) == (leaf in budgeted), leaf
 
 
 def test_determinism(capsys):
