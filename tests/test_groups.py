@@ -1,5 +1,8 @@
 """Group structure, normalization, and character-sum arithmetic."""
 
+import pickle
+from copy import deepcopy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +56,32 @@ def test_chain_validation():
         GroupSpec((2, 3))
     with pytest.raises(ValueError):
         GroupSpec((0,))
+
+
+def test_groupspec_value_contract():
+    g = GroupSpec((2, 4))
+    same = GroupSpec(invariant_factors=(2, 4))
+    assert g == same and not g != same and hash(g) == hash(same) == hash(((2, 4),))
+    for other in (GroupSpec((8,)), GroupSpec((2, 2, 2)), GroupSpec(())):
+        assert g != other and not g == other
+    assert g != (2, 4) and g != "2,4"
+    assert {g, same, GroupSpec((8,))} == {g, GroupSpec((8,))}
+    assert {g: 1}[same] == 1
+    assert repr(g) == "GroupSpec(invariant_factors=(2, 4))"
+    assert repr(GroupSpec(())) == "GroupSpec(invariant_factors=())"
+    with pytest.raises(AttributeError):
+        g.invariant_factors = (8,)
+    assert g.invariant_factors == (2, 4) and g.order == 8
+    for orig in (g, GroupSpec((3, 3, 9)), GroupSpec(())):
+        for copy in (pickle.loads(pickle.dumps(orig)), deepcopy(orig)):
+            assert type(copy) is GroupSpec and copy == orig and hash(copy) == hash(orig)
+            assert copy.order == orig.order
+            with pytest.raises(AttributeError):
+                copy.invariant_factors = ()
+    with pytest.raises(ValueError, match=r"^invariant factors must be >= 2, got \(0,\)$"):
+        GroupSpec((0,))
+    with pytest.raises(ValueError, match=r"^\(2, 3\) is not a divisibility chain$"):
+        GroupSpec((2, 3))
 
 
 def test_normalize_group():
