@@ -22,31 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .analysis import (
-    cnr_reciprocity_check,
-    reciprocity_scan,
-    verify_gcp,
-    verify_subset_reciprocity,
-)
-from .brute import enum_pairs, enum_sequences, enum_subsets
-from .counting import count_sequences, count_subsets, pair_dimension, rational_catalan
-from .dyck import (
-    dyck_to_sequence,
-    dyck_to_subset,
-    enum_dyck,
-    sequence_to_dyck,
-    subset_to_dyck,
-)
 from .errors import EnumerationLimitError, ExactDivisionError, InvariantError
 from .groups import GroupSpec
-from .necklaces import (
-    complement_bijection,
-    pair_bijection,
-    reciprocity_bijection,
-    translate_complement_bijection,
-)
-from .poincare import CoeffTable, poincare_table, series_cross_check
 
 
 class UsageError(ValueError):
@@ -58,8 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _vec(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _reasoned(parse):
+    """A flag type whose usage error is the parse's own ValueError message
+    (argparse would only name the function: "invalid parse value")."""
+
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
+
+
+_vec = _reasoned(lambda text: tuple(int(part) for part in text.split(",")))
+_group = _reasoned(GroupSpec.parse)
 
 
 def _budget(text: str) -> int:
@@ -84,10 +76,8 @@ def _bounds(default=REQUIRED):
     )
 
 
-GROUP = (
-    "--group", GroupSpec.parse, REQUIRED, "invariant factors, e.g. 2,2,4 (empty or 1 = trivial)"
-)
-OTHER = ("--other", GroupSpec.parse, REQUIRED, "other group's invariant factors")
+GROUP = ("--group", _group, REQUIRED, "invariant factors, e.g. 2,2,4 (empty or 1 = trivial)")
+OTHER = ("--other", _group, REQUIRED, "other group's invariant factors")
 TARGET = _int("--target", "target element label (default 0)", 0)
 LIMIT = ("--limit", _budget, None, "enumeration budget (default: ZSCOMB_LIMIT or 10^7 candidates)")
 LENGTH = _int("--length", "multiset size")
@@ -106,83 +96,87 @@ FAMILIES = {
 }
 
 
-def _commands():
-    """Every leaf: (family, name, help, function, flags in call order, result fields).
-
-    Built with each parser, so the functions are read from this module's
-    namespace then: a name rebound after import (a tracing wrapper, a test's
-    monkeypatch) is what the command calls.
-    """
-    return (
-        ("count", "sequences", "zero-sum multisets of a given size", count_sequences,
-         (GROUP, LENGTH, TARGET), ("count",)),
-        ("count", "subsets", "zero-sum subsets of a given size", count_subsets,
-         (GROUP, SIZE, TARGET), ("count",)),
-        ("count", "catalan", "rational Catalan number", rational_catalan, A_B, ("count",)),
-        ("count", "pair-dim", "(multiset, subset) pair count", pair_dimension,
-         (_int("--p", "multiset size"), _int("--q", "group order minus subset size"),
-          _int("--m", "subset size"), GROUP), ("count",)),
-        ("enum", "sequences", "list zero-sum multisets", enum_sequences,
-         (GROUP, LENGTH, TARGET, LIMIT), ()),
-        ("enum", "subsets", "list zero-sum subsets", enum_subsets,
-         (GROUP, SIZE, TARGET, LIMIT), ()),
-        ("enum", "dyck", "list (a,b)-Dyck paths as step words", enum_dyck, (*A_B, LIMIT), ()),
-        ("enum", "pairs", "list (multiset, subset) pairs", enum_pairs,
-         (GROUP, _int("--p", "multiset size"), _int("--k", "subset size"), TARGET, LIMIT),
-         ("sequence", "subset")),
-        ("biject", "seq-to-dyck", "zero-sum multiset to Dyck gap vector", sequence_to_dyck,
-         (GROUP, VECTOR), ("gaps", "rotation")),
-        ("biject", "dyck-to-seq", "Dyck gap vector to zero-sum multiset", dyck_to_sequence,
-         (GROUP, ("--gaps", _vec, REQUIRED, "column-gap vector")), ("vector", "shift")),
-        ("biject", "subset-to-dyck", "zero-sum subset to Dyck step word", subset_to_dyck,
-         (GROUP, SUBSET), ("word", "rotation")),
-        ("biject", "dyck-to-subset", "Dyck step word to zero-sum subset", dyck_to_subset,
-         (GROUP, ("--word", str, REQUIRED, "0/1 step word")), ("subset", "shift")),
-        ("biject", "reciprocity", "multisets over G to multisets over H", reciprocity_bijection,
-         (GROUP, OTHER, VECTOR), ("vector",)),
-        ("biject", "complement", "k-subsets to (n-k)-subsets by rotation", complement_bijection,
-         (GROUP, SUBSET), ("subset", "shift")),
-        ("biject", "translate-complement", "k-subsets to (n-k)-subsets by translation",
-         translate_complement_bijection, (GROUP, SUBSET), ("subset", "translation")),
-        ("biject", "pair", "(multiset, subset) pairs over G to pairs over H", pair_bijection,
-         (GROUP, OTHER, VECTOR, SUBSET), ("sequence", "subset")),
-        ("poincare", "table", "coefficient table through (max-s, max-t)", poincare_table,
-         (GROUP, TARGET, *_bounds()), ()),
-        ("poincare", "check", "cross-check a table against enumeration", series_cross_check,
-         (GROUP, TARGET, *_bounds(), LIMIT), ()),
-        ("verify", "subset-reci", "subset-count symmetry predicate", verify_subset_reciprocity,
-         (_int("--max-order", default=16),), ()),
-        ("verify", "gcp", "group vs prime-cyclic reciprocity predicate", verify_gcp,
-         (_int("--max-order", default=16),
-          ("--primes", _vec, (2, 3, 5, 7), "comma-separated primes")), ()),
-        ("verify", "cnr", "r-th power group reciprocity", cnr_reciprocity_check,
-         (_int("--n"), _int("--m"), _int("--r")), ()),
-        ("verify", "series", "coefficient table vs enumeration", series_cross_check,
-         (GROUP, TARGET, *_bounds(4), LIMIT), ()),
-        ("scan", "reciprocity", "tabulate reciprocity over all group pairs", reciprocity_scan,
-         (_int("--max-order", default=10),), ()),
-    )
+# Every leaf: (family, name, help, "module.function", flags in call order,
+# result fields).  `run` imports the function's module only when its leaf runs.
+COMMANDS = (
+    ("count", "sequences", "zero-sum multisets of a given size", "counting.count_sequences",
+     (GROUP, LENGTH, TARGET), ("count",)),
+    ("count", "subsets", "zero-sum subsets of a given size", "counting.count_subsets",
+     (GROUP, SIZE, TARGET), ("count",)),
+    ("count", "catalan", "rational Catalan number", "counting.rational_catalan", A_B, ("count",)),
+    ("count", "pair-dim", "(multiset, subset) pair count", "counting.pair_dimension",
+     (_int("--p", "multiset size"), _int("--q", "group order minus subset size"),
+      _int("--m", "subset size"), GROUP), ("count",)),
+    ("enum", "sequences", "list zero-sum multisets", "brute.enum_sequences",
+     (GROUP, LENGTH, TARGET, LIMIT), ()),
+    ("enum", "subsets", "list zero-sum subsets", "brute.enum_subsets",
+     (GROUP, SIZE, TARGET, LIMIT), ()),
+    ("enum", "dyck", "list (a,b)-Dyck paths as step words", "dyck.enum_dyck", (*A_B, LIMIT), ()),
+    ("enum", "pairs", "list (multiset, subset) pairs", "brute.enum_pairs",
+     (GROUP, _int("--p", "multiset size"), _int("--k", "subset size"), TARGET, LIMIT),
+     ("sequence", "subset")),
+    ("biject", "seq-to-dyck", "zero-sum multiset to Dyck gap vector", "dyck.sequence_to_dyck",
+     (GROUP, VECTOR), ("gaps", "rotation")),
+    ("biject", "dyck-to-seq", "Dyck gap vector to zero-sum multiset", "dyck.dyck_to_sequence",
+     (GROUP, ("--gaps", _vec, REQUIRED, "column-gap vector")), ("vector", "shift")),
+    ("biject", "subset-to-dyck", "zero-sum subset to Dyck step word", "dyck.subset_to_dyck",
+     (GROUP, SUBSET), ("word", "rotation")),
+    ("biject", "dyck-to-subset", "Dyck step word to zero-sum subset", "dyck.dyck_to_subset",
+     (GROUP, ("--word", str, REQUIRED, "0/1 step word")), ("subset", "shift")),
+    ("biject", "reciprocity", "multisets over G to multisets over H",
+     "necklaces.reciprocity_bijection", (GROUP, OTHER, VECTOR), ("vector",)),
+    ("biject", "complement", "k-subsets to (n-k)-subsets by rotation",
+     "necklaces.complement_bijection", (GROUP, SUBSET), ("subset", "shift")),
+    ("biject", "translate-complement", "k-subsets to (n-k)-subsets by translation",
+     "necklaces.translate_complement_bijection", (GROUP, SUBSET), ("subset", "translation")),
+    ("biject", "pair", "(multiset, subset) pairs over G to pairs over H",
+     "necklaces.pair_bijection", (GROUP, OTHER, VECTOR, SUBSET), ("sequence", "subset")),
+    ("poincare", "table", "coefficient table through (max-s, max-t)", "poincare.poincare_table",
+     (GROUP, TARGET, *_bounds()), ()),
+    ("poincare", "check", "cross-check a table against enumeration", "poincare.series_cross_check",
+     (GROUP, TARGET, *_bounds(), LIMIT), ()),
+    ("verify", "subset-reci", "subset-count symmetry predicate",
+     "analysis.verify_subset_reciprocity", (_int("--max-order", default=16),), ()),
+    ("verify", "gcp", "group vs prime-cyclic reciprocity predicate", "analysis.verify_gcp",
+     (_int("--max-order", default=16),
+      ("--primes", _vec, (2, 3, 5, 7), "comma-separated primes")), ()),
+    ("verify", "cnr", "r-th power group reciprocity", "analysis.cnr_reciprocity_check",
+     (_int("--n"), _int("--m"), _int("--r")), ()),
+    ("verify", "series", "coefficient table vs enumeration", "poincare.series_cross_check",
+     (GROUP, TARGET, *_bounds(4), LIMIT), ()),
+    ("scan", "reciprocity", "tabulate reciprocity over all group pairs",
+     "analysis.reciprocity_scan", (_int("--max-order", default=10),), ()),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command.  Given the argv it will parse, it leaves
+    out what that parse cannot reach: when argv[0] names a family, the other
+    families' leaves, and when argv[1] then names a leaf (is not an option),
+    the other leaves' flags.  Help and error messages are the full tree's."""
     parser = _Parser(
         prog="zscomb",
         description="Zero-sum subset and multiset combinatorics over finite abelian groups.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-    families = {}
-    for family, name, help_text, fn, flags, fields in _commands():
-        if family not in families:
-            families[family] = top.add_parser(family, help=FAMILIES[family]).add_subparsers(
-                dest="subcommand", required=True
-            )
-        p = families[family].add_parser(name, help=help_text)
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        dests = [
-            p.add_argument(f, type=t, default=d, required=d is REQUIRED, help=h).dest
-            for f, t, d, h in flags
-        ]
-        p.set_defaults(leaf=(fn, dests, fields))
+    families = {
+        family: top.add_parser(family, help=help_text).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for family, help_text in FAMILIES.items()
+    }
+    only_family = argv[0] if argv and argv[0] in FAMILIES else None
+    only_leaf = argv[1] if only_family and argv[1:] and not argv[1].startswith("-") else None
+    for family, name, help_text, target, flags, fields in COMMANDS:
+        if only_family in (None, family):
+            p = families[family].add_parser(name, help=help_text)
+            if only_leaf in (None, name):
+                p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+                dests = [
+                    p.add_argument(f, type=t, default=d, required=d is REQUIRED, help=h).dest
+                    for f, t, d, h in flags
+                ]
+                p.set_defaults(leaf=(target, dests, fields))
     return parser
 
 
@@ -199,17 +193,20 @@ def _encode(value, fields=()):
         return str(value)
     if isinstance(value, tuple):
         return ",".join(map(str, value))
-    if isinstance(value, CoeffTable):
+    if hasattr(value, "to_json_dict"):  # a CoeffTable
         return value.to_json_dict()
     return value  # a step word or a verification report
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     pretty = False
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         pretty = args.pretty
-        fn, dests, fields = args.leaf
+        target, dests, fields = args.leaf
+        module, _, name = target.partition(".")
+        fn = getattr(import_module(f".{module}", __package__), name)
         payload = _encode(fn(*[getattr(args, dest) for dest in dests]), fields)
         code = 1 if isinstance(payload, dict) and payload.get("failures") else 0
     except SystemExit as exc:  # --help

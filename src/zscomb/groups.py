@@ -10,8 +10,7 @@ significant factor first:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, lcm, prod
 
 
@@ -57,23 +56,45 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group with a canonical invariant-factor chain.
 
     Construct through :func:`normalize_group` (or :meth:`parse`) unless the
     factors are already a divisibility chain with every entry >= 2.
+    Instances are immutable values: equal chains compare and hash equal.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors", "order")
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        fs = invariant_factors
         if any(f < 2 for f in fs):
             raise ValueError(f"invariant factors must be >= 2, got {fs}")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"{fs} is not a divisibility chain")
+        object.__setattr__(self, "invariant_factors", fs)
+        object.__setattr__(self, "order", prod(fs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash((self.invariant_factors,))
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(invariant_factors={self.invariant_factors!r})"
+
+    def __reduce__(self):
+        return GroupSpec, (self.invariant_factors,)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -93,10 +114,6 @@ class GroupSpec:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    @cached_property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:

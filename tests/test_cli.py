@@ -11,7 +11,7 @@ import pytest
 
 import zscomb
 from zscomb import counting, dyck
-from zscomb.cli import run
+from zscomb.cli import UsageError, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -320,18 +320,32 @@ def test_usage_error_exit_2(capsys):
         "verify series --group 2 --limit -1",
         "count sequences --group 2,x --length 3",
         "biject seq-to-dyck --group 7 --vector 1,a",
+        "biject reciprocity --group 7 --other 3,0 --vector 0,0,1,1,1,0,2",
+        "biject dyck-to-seq --group 7 --gaps 1,,2",
+        "biject complement --group 4 --subset x",
+        "verify gcp --primes 2,,3",
     ):
         assert run(shlex.split(argv)) == 2, argv
     # every usage error is one JSON line on stdout
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 15
     assert all(json.loads(line)["error"] == "UsageError" for line in lines)
     assert json.loads(lines[3]) == {
         "error": "UsageError",
         "reason": "the following arguments are required: command",
     }
-    assert json.loads(lines[4])["reason"] == "unrecognized arguments: --limit 0"
-    assert json.loads(lines[7])["reason"] == "argument --limit: the budget must be >= 0, got -1"
+    reasons = [json.loads(line)["reason"] for line in lines]
+    assert reasons[4] == "unrecognized arguments: --limit 0"
+    assert reasons[7] == "argument --limit: the budget must be >= 0, got -1"
+    # a flag value the library refuses keeps the library's reason
+    assert reasons[9:] == [
+        "argument --group: bad group text '2,x'",
+        "argument --vector: invalid literal for int() with base 10: 'a'",
+        "argument --other: factors must be positive, got (3, 0)",
+        "argument --gaps: invalid literal for int() with base 10: ''",
+        "argument --subset: invalid literal for int() with base 10: 'x'",
+        "argument --primes: invalid literal for int() with base 10: ''",
+    ]
 
 
 def test_precondition_error_exit_2(capsys):
@@ -384,6 +398,77 @@ def test_help_exits_zero(capsys):
         assert ("--limit" in capsys.readouterr().out) == (leaf in budgeted), leaf
 
 
+def test_call_parser_matches_full_tree(capsys):
+    """`build_parser(argv)` leaves out only what parsing argv cannot reach."""
+
+    def outcome(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except (UsageError, SystemExit) as exc:  # SystemExit: --help
+            return type(exc).__name__, str(exc), capsys.readouterr().out
+
+    argvs = [shlex.split(argv) for argv, _, _ in GOLDEN]
+    argvs += [argv[:2] + ["--help"] for argv in argvs] + [argv[:1] for argv in argvs]
+    for line in (
+        "", "--help", "-h", "nonsense", "count nonsense", "count --help",
+        "count catalan --a 3", "count catalan --a 3 --b 5 --c 1", "count catalan --b 5 --a 3",
+        "--pretty count catalan --a 3 --b 5", "count --x catalan --a 3 --b 5",
+        "count -- catalan --a 3 --b 5", "count sequences --grou 7 --len 3",
+    ):
+        argvs.append(shlex.split(line))
+    for argv in argvs:
+        assert outcome(build_parser(argv), argv) == outcome(build_parser(), argv), argv
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's zscomb."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zscomb.__file__)))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cold_start_loads_only_the_leaf_modules():
+    lazy = {"dataclasses"} | {
+        f"zscomb.{m}"
+        for m in ("analysis", "brute", "counting", "dyck", "necklaces", "poincare", "zerosum")
+    }
+    proc = _python("-c", (
+        "import json, sys\n"
+        "import zscomb.cli\n"
+        "after_import = sorted(sys.modules)\n"
+        "code = zscomb.cli.run(['count', 'catalan', '--a', '3', '--b', '5'])\n"
+        "print(json.dumps([after_import, sorted(sys.modules), code]))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    out, summary = proc.stdout.splitlines()
+    after_import, after_run, code = json.loads(summary)
+    assert (code, out) == (0, '{"count":"7"}')
+    assert not lazy & set(after_import)
+    added = {m for m in set(after_run) - set(after_import) if m.startswith("zscomb")}
+    assert added == {"zscomb.counting", "zscomb.zerosum"}
+    assert "dataclasses" not in after_run
+    # the package resolves its names on first use, to the defining module's objects
+    proc = _python("-c", (
+        "import sys, zscomb\n"
+        "print('zscomb.counting' in sys.modules, zscomb.counting.__name__)\n"
+    ))
+    assert proc.stdout.split() == ["False", "zscomb.counting"], proc.stderr
+    for name in zscomb.__all__:
+        value = getattr(zscomb, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace = {}
+    exec("from zscomb import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(zscomb.__all__)
+    assert set(zscomb.__all__) <= set(dir(zscomb))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        zscomb.no_such_name
+
+
 def test_determinism(capsys):
     a = invoke(capsys, "scan", "reciprocity", "--max-order", "6")
     b = invoke(capsys, "scan", "reciprocity", "--max-order", "6")
@@ -422,13 +507,6 @@ def test_invariant_check_survives_optimize_flag():
         "from zscomb.cli import run\n"
         "sys.exit(run(['biject', 'seq-to-dyck', '--group', '7', '--vector', '0,0,1,1,1,0,2']))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(zscomb.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python("-O", "-c", script)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"] == "InvariantError"
