@@ -116,9 +116,8 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     rows, failures = [], []
     for group in _groups_up_to(max_order):
         n = group.order
-        for k in range(1, n):
-            ck = count_subsets(group, k, 0)
-            cnk = count_subsets(group, n - k, 0)
+        counts = [count_subsets(group, k, 0) for k in range(1, n)]
+        for k, ck, cnk in zip(range(1, n), counts, reversed(counts)):
             pred = subset_reci_predicate(group, k)
             row = {
                 "group": str(group),

@@ -54,10 +54,11 @@ _vec = _reasoned(lambda text: tuple(int(part) for part in text.split(",")))
 _group = _reasoned(GroupSpec.parse)
 
 
+@_reasoned
 def _budget(text: str) -> int:
     limit = int(text)
     if limit < 0:
-        raise argparse.ArgumentTypeError(f"the budget must be >= 0, got {limit}")
+        raise ValueError(f"the budget must be >= 0, got {limit}")
     return limit
 
 
@@ -201,7 +202,11 @@ def _encode(value, fields=()):
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     pretty = False
+    # Lift the int-to-str digit limit (0: none, or none to lift) for this call only.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
     try:
+        if digits:
+            sys.set_int_max_str_digits(0)
         args = build_parser(argv).parse_args(argv)
         pretty = args.pretty
         target, dests, fields = args.leaf
@@ -220,6 +225,9 @@ def run(argv=None) -> int:
         payload.update(check=exc.check, context=exc.context)
     except ExactDivisionError as exc:
         payload, code = {"error": "ExactDivisionError", "reason": str(exc)}, 3
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     print(json.dumps(payload, indent=2) if pretty else json.dumps(payload, separators=(",", ":")))
     return code
 

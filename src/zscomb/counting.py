@@ -1,8 +1,8 @@
 """Closed-form counts of subsets, sequences and pairs with a prescribed sum.
 
-All formulas are divisor sums weighted by integer character sums, divided
-exactly by a group order; :func:`exact_div` turns any non-exact division
-into a loud error because each value is a cardinality.
+All formulas are divisor sums over the target's memoised character profile
+(:func:`character_profile`), divided exactly by a group order; :func:`exact_div`
+turns any non-exact division into a loud error as each value is a cardinality.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import ExactDivisionError
-from .groups import GroupSpec, character_sum, count_elements_of_order, divisors
+from .groups import GroupSpec, character_profile
 from .zerosum import sequence_sum
 
 
@@ -50,9 +50,8 @@ def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
     if k == n:
         return 1 if sequence_sum(group, [1] * n) == target else 0
     total = 0
-    for d in divisors(gcd(n, k)):
-        chi = character_sum(group, target, d)
-        if chi:
+    for d, chi in character_profile(group, target):
+        if k % d == 0:
             sign = -1 if (k + k // d) % 2 else 1
             total += chi * sign * comb(n // d, k // d)
     return exact_div(total, n)
@@ -69,9 +68,8 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     if m < 0:
         raise ValueError(f"length must be >= 0, got {m}")
     total = 0
-    for d in divisors(gcd(n, m)):
-        chi = character_sum(group, target, d)
-        if chi:
+    for d, chi in character_profile(group, target):
+        if m % d == 0:
             total += chi * comb(n // d + m // d, n // d)
     return exact_div(total, n + m)
 
@@ -104,9 +102,8 @@ def pair_dimension(p: int, q: int, m: int, group: GroupSpec) -> int:
     if group.order != q + m:
         raise ValueError(f"group order {group.order} must equal q + m = {q + m}")
     total = 0
-    for d in divisors(gcd(p, q, m)):
-        phi = count_elements_of_order(group, d)
-        if phi:
+    for d, phi in character_profile(group, 0):  # phi: elements of order d
+        if p % d == 0 and m % d == 0:  # d divides q + m, so also q
             sign = -1 if (m + m // d) % 2 else 1
             s = (p + q + m) // d
             total += sign * phi * multinomial(s, p // d, q // d, m // d)
@@ -128,9 +125,8 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
     if k > n:
         return 0
     total = 0
-    for d in divisors(gcd(n, gcd(p, k))):
-        chi = character_sum(group, target, d)
-        if chi:
+    for d, chi in character_profile(group, target):
+        if p % d == 0 and k % d == 0:
             sign = -1 if (k + k // d) % 2 else 1
             nd, pd, kd = n // d, p // d, k // d
             total += chi * sign * comb(nd + pd - 1, pd) * comb(nd, kd)

@@ -10,7 +10,7 @@ significant factor first:
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm, prod
 
 
@@ -208,6 +208,31 @@ def count_elements_of_order(group: GroupSpec, d: int) -> int:
     Zero whenever d does not divide the exponent.
     """
     return character_sum(group, 0, d)
+
+
+def character_profile(group: GroupSpec, g: int) -> tuple[tuple[int, int], ...]:
+    """Each nonzero (d, character_sum(group, g, d)), d | exponent ascending; memoised."""
+    return _profile(group.invariant_factors, group.check_label(g))
+
+
+@lru_cache(maxsize=512)  # holds all 220 groups of order <= 120
+def _profile(ns: tuple[int, ...], g: int) -> tuple[tuple[int, int], ...]:
+    # F(l) of character_sum for every l | exponent, then Moebius inversion one
+    # prime at a time: O(tau * omega) steps, where a sum per d takes O(tau^2).
+    group = GroupSpec(ns)
+    coords, ds = group.coords(g), divisors(group.exponent)
+    f = {}
+    for l in ds:
+        term = 1
+        for a_i, n_i in zip(coords, ns):
+            gl = gcd(n_i, l)
+            term = 0 if a_i % gl else term * gl
+        f[l] = term
+    for p, _ in factorize(group.exponent):
+        for d in reversed(ds):
+            if d % p == 0:
+                f[d] -= f[d // p]
+    return tuple((d, f[d]) for d in ds if f[d])
 
 
 def character_sum(group: GroupSpec, g: int, d: int) -> int:

@@ -21,7 +21,7 @@ from math import comb
 from .brute import sequences_by_sum, subsets_by_sum
 from .counting import count_pairs_coefficient, exact_div
 from .errors import _check
-from .groups import GroupSpec, character_sum, divisors
+from .groups import GroupSpec, character_profile
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
     """Table by truncated expansion of the generating function."""
     n = group.order
     acc = [[0] * (max_t + 1) for _ in range(max_s + 1)]
-    for d in divisors(group.exponent):
-        chi = character_sum(group, target, d)
-        if chi == 0:
-            continue
+    for d, chi in character_profile(group, target):
         nd = n // d
         # (1 - (-t)^d)^(n/d): the t^(d*j) coefficient is C(n/d, j) times
         # (-1)^j from the binomial and (-1)^(d*j) from (-t)^d, so the sign

@@ -324,11 +324,12 @@ def test_usage_error_exit_2(capsys):
         "biject dyck-to-seq --group 7 --gaps 1,,2",
         "biject complement --group 4 --subset x",
         "verify gcp --primes 2,,3",
+        "enum dyck --a 2 --b 3 --limit x",
     ):
         assert run(shlex.split(argv)) == 2, argv
     # every usage error is one JSON line on stdout
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert all(json.loads(line)["error"] == "UsageError" for line in lines)
     assert json.loads(lines[3]) == {
         "error": "UsageError",
@@ -345,7 +346,24 @@ def test_usage_error_exit_2(capsys):
         "argument --gaps: invalid literal for int() with base 10: ''",
         "argument --subset: invalid literal for int() with base 10: 'x'",
         "argument --primes: invalid literal for int() with base 10: ''",
+        "argument --limit: invalid literal for int() with base 10: 'x'",
     ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit to lift")
+def test_count_beyond_int_str_digit_limit(capsys):
+    # C(65536, 32769)/65536 has about 19,700 digits, beyond the interpreter's
+    # default int-to-str limit of 4300; run lifts it and puts it back.
+    limit = sys.get_int_max_str_digits()
+    assert run(shlex.split("count subsets --group 65536 --size 32769")) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = json.loads(capsys.readouterr().out)["count"]
+    assert len(text) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(text) == counting.count_subsets(zscomb.GroupSpec((65536,)), 32769)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_precondition_error_exit_2(capsys):

@@ -17,6 +17,8 @@ from zscomb import (
     mobius,
     normalize_group,
 )
+from zscomb.analysis import all_abelian_groups
+from zscomb.groups import _profile, character_profile
 
 small_groups = (
     st.lists(st.integers(1, 12), max_size=4)
@@ -190,3 +192,22 @@ def test_character_sum_invalid_order():
     with pytest.raises(ValueError):
         character_sum(g, 0, 0)
     assert character_sum(g, 0, 3) == 0  # 3 does not divide the exponent
+
+
+def test_character_profile_matches_character_sum():
+    # the memoised kernel against the per-divisor reference, on every target
+    for order in range(1, 65):
+        for g in all_abelian_groups(order):
+            for t in g.elements():
+                sums = [(d, character_sum(g, t, d)) for d in divisors(g.exponent)]
+                assert list(character_profile(g, t)) == [(d, c) for d, c in sums if c]
+    assert _profile.cache_info().maxsize is not None  # the memo is bounded
+
+
+def test_character_profile_refuses_bad_targets():
+    g = GroupSpec((2, 4))
+    misses = _profile.cache_info().misses
+    for bad in (-1, 8, 8, -1):  # every call raises; no error is memoised
+        with pytest.raises(ValueError, match="out of range"):
+            character_profile(g, bad)
+    assert _profile.cache_info().misses == misses
