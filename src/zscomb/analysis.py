@@ -115,12 +115,12 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     """
     rows, failures = [], []
     for group in _groups_up_to(max_order):
-        n = group.order
+        n, name = group.order, str(group)
         counts = [count_subsets(group, k, 0) for k in range(1, n)]
         for k, ck, cnk in zip(range(1, n), counts, reversed(counts)):
             pred = subset_reci_predicate(group, k)
             row = {
-                "group": str(group),
+                "group": name,
                 "k": k,
                 "count_k": str(ck),
                 "count_nk": str(cnk),
@@ -152,14 +152,18 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
-    rows, failures = [], []
+    rows, failures, cyclic, rights = [], [], {}, {}  # rights: (p, |G|) -> |M(C_p, |G|)|
     for group in _groups_up_to(max_order):
+        name = str(group)
         for p in primes:
             left = count_sequences(group, p, 0)
-            right = count_sequences(GroupSpec((p,)), group.order, 0)
+            if (p, group.order) not in rights:
+                cyclic[p] = cyclic.get(p) or GroupSpec((p,))
+                rights[p, group.order] = count_sequences(cyclic[p], group.order, 0)
+            right = rights[p, group.order]
             pred = gcp_predicate(group, p)
             row = {
-                "group": str(group),
+                "group": name,
                 "p": p,
                 "left": str(left),
                 "right": str(right),
@@ -232,14 +236,15 @@ def reciprocity_scan(max_order: int = 10) -> dict:
     failures if not); non-coprime rows carry no verdict.
     """
     groups = _groups_up_to(max_order)
+    names = [str(g) for g in groups]
     rows, failures = [], []
     for i, g in enumerate(groups):
-        for h in groups[i:]:
+        for h, other in zip(groups[i:], names[i:]):
             left = count_sequences(g, h.order, 0)
             right = count_sequences(h, g.order, 0)
             row = {
-                "group": str(g),
-                "other": str(h),
+                "group": names[i],
+                "other": other,
                 "left": str(left),
                 "right": str(right),
                 "equal": left == right,

@@ -1,8 +1,9 @@
 """Closed-form counts of subsets, sequences and pairs with a prescribed sum.
 
-All formulas are divisor sums over the target's memoised character profile
-(:func:`character_profile`), divided exactly by a group order; :func:`exact_div`
-turns any non-exact division into a loud error as each value is a cardinality.
+One divisor sum over the target's memoised character profile, in
+:func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
+subsets are its two edges.  :func:`exact_div` turns any non-exact division
+into a loud error as each value is a cardinality.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from math import comb, gcd
 
 from .errors import ExactDivisionError
 from .groups import GroupSpec, character_profile
-from .zerosum import sequence_sum
 
 
 def exact_div(num: int, den: int) -> int:
@@ -33,45 +33,21 @@ def multinomial(n: int, *parts: int) -> int:
 
 
 def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
-    """Number of k-element subsets of the group whose elements sum to target.
-
-    For 1 <= k <= n-1 this is
-        (1/n) * sum over d | gcd(n, k) of
-            character_sum(target, d) * (-1)^(k + k/d) * C(n/d, k/d).
-    The boundary sizes k = 0 and k = n are evaluated directly: the empty
-    subset sums to 0 and the full subset sums to the sum of all elements.
-    """
+    """Number of k-element subsets summing to target: the pair count's edge
+    ``count_pairs_coefficient(group, target, 0, k)``."""
     group.check_label(target)
-    n = group.order
-    if not 0 <= k <= n:
-        raise ValueError(f"subset size {k} out of range for order {n}")
-    if k == 0:
-        return 1 if target == 0 else 0
-    if k == n:
-        return 1 if sequence_sum(group, [1] * n) == target else 0
-    total = 0
-    for d, chi in character_profile(group, target):
-        if k % d == 0:
-            sign = -1 if (k + k // d) % 2 else 1
-            total += chi * sign * comb(n // d, k // d)
-    return exact_div(total, n)
+    if not 0 <= k <= group.order:
+        raise ValueError(f"subset size {k} out of range for order {group.order}")
+    return count_pairs_coefficient(group, target, 0, k)
 
 
 def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
-    """Number of length-m multisets over the group summing to target.
-
-    Equals (1/(n+m)) * sum over d | gcd(n, m) of
-        character_sum(target, d) * C(n/d + m/d, n/d).
-    """
+    """Number of length-m multisets summing to target: the pair count's edge
+    ``count_pairs_coefficient(group, target, m, 0)``."""
     group.check_label(target)
-    n = group.order
     if m < 0:
         raise ValueError(f"length must be >= 0, got {m}")
-    total = 0
-    for d, chi in character_profile(group, target):
-        if m % d == 0:
-            total += chi * comb(n // d + m // d, n // d)
-    return exact_div(total, n + m)
+    return count_pairs_coefficient(group, target, m, 0)
 
 
 def _check_shape(a: int, b: int) -> None:
@@ -116,7 +92,7 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
     Equals (1/n) * sum over d | gcd(n, p, k) of
         character_sum(target, d) * (-1)^(k + k/d)
         * C(n/d + p/d - 1, p/d) * C(n/d, k/d),
-    and is 0 for k > n.
+    and is 0 for k > n.  Its k = 0 and p = 0 edges are count_sequences and count_subsets.
     """
     group.check_label(target)
     n = group.order

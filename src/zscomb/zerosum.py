@@ -41,14 +41,7 @@ def check_indicator(group: GroupSpec, vec) -> tuple[int, ...]:
 def sequence_sum(group: GroupSpec, vec) -> int:
     """Group sum of the multiset encoded by vec, as an element label."""
     vec = check_vector(group, vec)
-    ns = group.invariant_factors
-    acc = [0] * group.rank
-    for lab, mult in enumerate(vec):
-        if mult:
-            for i, n_i in enumerate(ns):
-                lab, a_i = divmod(lab, n_i)
-                acc[i] += mult * a_i
-    return group.label(a % n_i for a, n_i in zip(acc, ns))
+    return group.label(_sum_coord(group, vec, axis) for axis in range(group.rank))
 
 
 def is_zero_sum(group: GroupSpec, vec) -> bool:

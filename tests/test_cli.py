@@ -1,5 +1,6 @@
 """CLI grammar, golden outputs, and exit codes."""
 
+import doctest
 import json
 import math
 import os
@@ -129,10 +130,12 @@ def test_golden(capsys, argv, code, out):
     assert invoke(capsys, *shlex.split(argv)) == (code, out + "\n")
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
 def readme_examples():
     """(argv, stdout line) of each `$ zscomb` line in the README followed by its output."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+    with open(README, encoding="utf-8") as f:
         lines = f.read().splitlines()
     return [
         (command.removeprefix("$ zscomb "), out)
@@ -146,6 +149,12 @@ def test_readme_examples(capsys):
     assert len(examples) >= 7
     for argv, out in examples:
         assert invoke(capsys, *shlex.split(argv, comments=True))[1] == out + "\n", argv
+    # the `>>>` Python quick start, run as a doctest
+    with open(README, encoding="utf-8") as f:
+        block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    runner = doctest.DocTestRunner()
+    runner.run(doctest.DocTestParser().get_doctest(block, {}, "quick start", README, 0))
+    assert runner.summarize(verbose=False) == (0, 9), capsys.readouterr().out
 
 
 def test_count_sequences_golden(capsys):
@@ -468,7 +477,7 @@ def test_cold_start_loads_only_the_leaf_modules():
     assert (code, out) == (0, '{"count":"7"}')
     assert not lazy & set(after_import)
     added = {m for m in set(after_run) - set(after_import) if m.startswith("zscomb")}
-    assert added == {"zscomb.counting", "zscomb.zerosum"}
+    assert added == {"zscomb.counting"}
     assert "dataclasses" not in after_run
     # the package resolves its names on first use, to the defining module's objects
     proc = _python("-c", (
@@ -513,7 +522,7 @@ def test_broken_invariant_exit_3(capsys, monkeypatch):
 def test_inexact_division_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(counting, "comb", lambda a, b: math.comb(a, b) + 1)
     code, out = invoke(capsys, "count", "sequences", "--group", "7", "--length", "5")
-    assert (code, out) == (3, '{"error":"ExactDivisionError","reason":"793 is not divisible by 12"}\n')
+    assert (code, out) == (3, '{"error":"ExactDivisionError","reason":"926 is not divisible by 7"}\n')
 
 
 def test_invariant_check_survives_optimize_flag():

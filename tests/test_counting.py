@@ -16,6 +16,7 @@ from zscomb import (
     multinomial,
     pair_dimension,
     rational_catalan,
+    sequence_sum,
     sequences_by_sum,
     subsets_by_sum,
 )
@@ -63,6 +64,14 @@ def test_boundary_sizes():
     t = GroupSpec(())
     assert count_sequences(t, 5, 0) == 1
     assert count_subsets(t, 1, 0) == 1
+    # sizes 0 and n go through the divisor sum like every other size
+    for g in groups_through(64):
+        n = g.order
+        full = sequence_sum(g, (1,) * n)
+        for target in g.elements():
+            assert count_subsets(g, 0, target) == (target == 0)
+            assert count_subsets(g, n, target) == (target == full)
+            assert count_sequences(g, 0, target) == (target == 0)
 
 
 def test_counts_match_oracle_all_targets():
