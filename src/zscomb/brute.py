@@ -25,10 +25,18 @@ DEFAULT_LIMIT = 10_000_000
 def default_limit() -> int:
     """Candidate budget; override with the ZSCOMB_LIMIT environment variable."""
     raw = os.environ.get("ZSCOMB_LIMIT")
-    return int(raw) if raw else DEFAULT_LIMIT
+    try:
+        limit = int(raw) if raw else DEFAULT_LIMIT
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"ZSCOMB_LIMIT must be an integer >= 0, got {raw!r}")
+    return limit
 
 
 def _check_budget(candidates: int, limit: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"the budget must be >= 0, got {limit}")
     cap = default_limit() if limit is None else limit
     if candidates > cap:
         raise EnumerationLimitError(candidates, cap)
@@ -59,10 +67,7 @@ def _candidates(group: GroupSpec, size: int, distinct: bool, limit: int | None):
     """Label tuples of every size-`size` multiset (subset if distinct), in
     combinations order, and in step with them the label of each one's sum."""
     n = group.order
-    if distinct and not 0 <= size <= n:
-        raise ValueError(f"subset size {size} out of range for order {n}")
-    if size < 0:
-        raise ValueError(f"length must be >= 0, got {size}")
+    group.check_size(size, distinct)
     _check_budget(comb(n, size) if distinct else comb(n + size - 1, size), limit)
     pick = combinations if distinct else combinations_with_replacement
     pack = _Packing(group, size)
@@ -108,20 +113,18 @@ def enum_pairs(
     """
     group.check_label(target)
     n = group.order
-    if p < 0 or not 0 <= k <= n:
-        raise ValueError(f"bad pair shape p={p}, k={k} for order {n}")
+    group.check_size(p)
+    group.check_size(k, subset=True)
     _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
     by_sum: dict[int, list] = {}
     for labels, t in zip(*_candidates(group, k, True, limit)):
         by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
-    # a multiset of sum s pairs with the subsets of the one sum t = target - s
-    pack = _Packing(group, 2)
+    # a multiset of sum s pairs with the subsets of sum target - s
     partners: dict[int, list] = {}
     out = []
     for labels, s in zip(*_candidates(group, p, False, limit)):
         if s not in partners:
-            match = (t for t in by_sum if pack[pack.packed[s] + pack.packed[t]] == target)
-            partners[s] = by_sum.get(next(match, None), [])
+            partners[s] = by_sum.get(group.sub(target, s), [])
         out += zip(repeat(_to_multiplicity(n, labels)), partners[s])
     return out
 

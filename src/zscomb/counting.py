@@ -36,8 +36,7 @@ def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
     """Number of k-element subsets summing to target: the pair count's edge
     ``count_pairs_coefficient(group, target, 0, k)``."""
     group.check_label(target)
-    if not 0 <= k <= group.order:
-        raise ValueError(f"subset size {k} out of range for order {group.order}")
+    group.check_size(k, subset=True)
     return count_pairs_coefficient(group, target, 0, k)
 
 
@@ -45,8 +44,7 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     """Number of length-m multisets summing to target: the pair count's edge
     ``count_pairs_coefficient(group, target, m, 0)``."""
     group.check_label(target)
-    if m < 0:
-        raise ValueError(f"length must be >= 0, got {m}")
+    group.check_size(m)
     return count_pairs_coefficient(group, target, m, 0)
 
 

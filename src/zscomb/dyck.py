@@ -20,13 +20,7 @@ from .brute import _check_budget
 from .counting import _check_shape, rational_catalan
 from .errors import _check
 from .groups import GroupSpec
-from .zerosum import (
-    check_indicator,
-    check_vector,
-    cyclic_shift,
-    is_zero_sum,
-    zero_sum_shift,
-)
+from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
 
 
 def gaps_to_word(gaps) -> str:
@@ -40,22 +34,15 @@ def word_to_gaps(word: str) -> tuple[int, ...]:
         raise ValueError("step words use characters '0' and '1' only")
     if not word.endswith("1"):
         raise ValueError("gap form needs the final step to be an east step")
-    gaps = []
-    run = 0
-    for c in word:
-        if c == "0":
-            run += 1
-        else:
-            gaps.append(run)
-            run = 0
-    return tuple(gaps)
+    return tuple(map(len, word[:-1].split("1")))
 
 
 def is_dyck(a: int, b: int, path) -> bool:
     """Validity test for either encoding; str means step form, else gap form.
 
     Malformed inputs (wrong length or totals) raise; a well-formed path that
-    dips below the diagonal returns False.
+    dips below the diagonal returns False.  A step word is tested through its
+    gaps, since a path that ends on a north step has dipped just before it.
     """
     _check_shape(a, b)
     if isinstance(path, str):
@@ -63,15 +50,9 @@ def is_dyck(a: int, b: int, path) -> bool:
             raise ValueError(f"step word must have {a + b} steps over '0'/'1'")
         if path.count("1") != a:
             raise ValueError(f"step word must contain {a} east steps")
-        x = y = 0
-        for c in path:
-            if c == "0":
-                y += 1
-            else:
-                x += 1
-            if a * y < b * x:
-                return False
-        return True
+        if not path.endswith("1"):
+            return False
+        path = word_to_gaps(path)
     gaps = tuple(path)
     if len(gaps) != a:
         raise ValueError(f"gap vector must have {a} entries")
@@ -133,12 +114,9 @@ def sequence_to_dyck(group: GroupSpec, vec) -> tuple[tuple[int, ...], int]:
     distinct; rotating left by the argmin gives the one rotation that is an
     (n, m)-Dyck path.  Linear in n + m.  Returns (gap vector, rotation amount).
     """
-    vec = check_vector(group, vec)
+    vec, m = _zero_sum_input(group, vec)
     n = group.order
-    m = sum(vec)
     _check_shape(n, m)
-    if not is_zero_sum(group, vec):
-        raise ValueError("sequence does not sum to the identity")
     lam = _cycle_lemma_start([n * x - m for x in vec])
     gaps = cyclic_shift(vec, lam)
     ok = is_dyck(n, m, gaps)
@@ -156,10 +134,10 @@ def dyck_to_sequence(group: GroupSpec, gaps) -> tuple[tuple[int, ...], int]:
     gaps = check_vector(group, gaps)
     n = group.order
     m = sum(gaps)
-    _check_shape(n, m)
     if not is_dyck(n, m, gaps):
         raise ValueError(f"{gaps} is not a valid ({n}, {m})-Dyck gap vector")
-    return _swap(zero_sum_shift(group, gaps))
+    shift, vec = zero_sum_shift(group, gaps)
+    return vec, shift
 
 
 def subset_to_dyck(group: GroupSpec, bits) -> tuple[str, int]:
@@ -170,12 +148,9 @@ def subset_to_dyck(group: GroupSpec, bits) -> tuple[str, int]:
     by k and an east step lowers it by n-k, so the Dyck rotation starts at
     the argmin of those heights.  Linear in n.  Returns (word, rotation amount).
     """
-    bits = check_indicator(group, bits)
+    bits, k = _zero_sum_input(group, bits, subset=True)
     n = group.order
-    k = sum(bits)
     _check_shape(k, n - k)
-    if not is_zero_sum(group, bits):
-        raise ValueError("subset does not sum to the identity")
     lam = _cycle_lemma_start([k - n * b for b in bits])
     word = "".join(map(str, cyclic_shift(bits, lam)))
     ok = is_dyck(k, n - k, word)
@@ -193,13 +168,7 @@ def dyck_to_subset(group: GroupSpec, word: str) -> tuple[tuple[int, ...], int]:
     if len(word) != n:
         raise ValueError(f"step word length {len(word)} must equal group order {n}")
     k = word.count("1")
-    _check_shape(k, n - k)
     if not is_dyck(k, n - k, word):
         raise ValueError(f"{word!r} is not a valid ({k}, {n - k})-Dyck step word")
-    bits = tuple(int(c) for c in word)
-    return _swap(zero_sum_shift(group, bits))
-
-
-def _swap(pair):
-    shift, vec = pair
-    return vec, shift
+    shift, bits = zero_sum_shift(group, tuple(map(int, word)))
+    return bits, shift

@@ -131,6 +131,14 @@ class GroupSpec:
             raise ValueError(f"label {label} out of range for order {self.order}")
         return label
 
+    def check_size(self, size: int, subset: bool = False) -> int:
+        """Return size unchanged if it is a multiset length (subset size if subset)."""
+        if subset and not 0 <= size <= self.order:
+            raise ValueError(f"subset size {size} out of range for order {self.order}")
+        if size < 0:
+            raise ValueError(f"length must be >= 0, got {size}")
+        return size
+
     def coords(self, label: int) -> tuple[int, ...]:
         """Mixed-radix digits (a_1, ..., a_r) of an element label."""
         self.check_label(label)

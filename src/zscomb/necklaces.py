@@ -21,10 +21,10 @@ from math import gcd
 from .errors import _check
 from .groups import GroupSpec, factorize
 from .zerosum import (
+    _zero_sum_input,
     check_indicator,
     check_vector,
     cyclic_shift,
-    is_zero_sum,
     is_zero_sum_by_congruences,
     sequence_sum,
     target_sum_shift,
@@ -65,26 +65,19 @@ def canonical_rotation(word: str) -> str:
 
 
 def _gaps_after(word: str, marker: str) -> tuple[int, ...]:
-    """Cyclic gap vector: count of non-marker beads after each marker bead."""
-    positions = [i for i, c in enumerate(word) if c == marker]
-    if not positions:
+    """Cyclic gap vector: non-marker beads after each marker, from the first one."""
+    first = word.find(marker) + 1
+    if not first:
         raise ValueError(f"word {word!r} has no {marker!r} beads")
-    n = len(word)
-    gaps = []
-    for here, there in zip(positions, positions[1:] + [positions[0] + n]):
-        gaps.append(there - here - 1)
-    return tuple(gaps)
+    return tuple(map(len, (word[first:] + word[: first - 1]).split(marker)))
 
 
 def sequence_to_necklace(group: GroupSpec, vec) -> str:
     """Canonical two-color necklace of a zero-sum multiset."""
-    vec = check_vector(group, vec)
+    vec, m = _zero_sum_input(group, vec)
     n = group.order
-    m = sum(vec)
     if gcd(n, m) != 1:
         raise ValueError(f"mass {m} is not coprime to group order {n}")
-    if not is_zero_sum(group, vec):
-        raise ValueError("sequence does not sum to the identity")
     return canonical_rotation("".join("R" + "B" * x for x in vec))
 
 
@@ -113,11 +106,9 @@ def reciprocity_bijection(group: GroupSpec, other: GroupSpec, vec) -> tuple[int,
     n, m = group.order, other.order
     if gcd(n, m) != 1:
         raise ValueError(f"group orders ({n}, {m}) are not coprime")
-    vec = check_vector(group, vec)
-    if sum(vec) != m:
-        raise ValueError(f"mass {sum(vec)} must equal the other group's order {m}")
-    if not is_zero_sum(group, vec):
-        raise ValueError("sequence does not sum to the identity")
+    vec, mass = _zero_sum_input(group, vec)
+    if mass != m:
+        raise ValueError(f"mass {mass} must equal the other group's order {m}")
     word = "".join("R" + "B" * x for x in vec)
     _, out = zero_sum_shift(other, _gaps_after(word, "B"))
     return out
@@ -129,13 +120,10 @@ def complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, ...], int]:
     Complements the indicator and rotates to the unique zero-sum position.
     Applying the map twice returns the original subset.
     """
-    bits = check_indicator(group, bits)
+    bits, k = _zero_sum_input(group, bits, subset=True)
     n = group.order
-    k = sum(bits)
     if gcd(k, n) != 1:
         raise ValueError(f"subset size {k} is not coprime to group order {n}")
-    if not is_zero_sum(group, bits):
-        raise ValueError("subset does not sum to the identity")
     comp = tuple(1 - b for b in bits)
     shift, out = zero_sum_shift(group, comp)
     return out, shift
@@ -149,13 +137,10 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     any x with k*x = e makes the translated complement zero-sum, and the
     smallest such label is used.  Returns (indicator, x).
     """
-    bits = check_indicator(group, bits)
+    bits, k = _zero_sum_input(group, bits, subset=True)
     n = group.order
-    k = sum(bits)
     if not 1 <= k <= n - 1:
         raise ValueError(f"subset size {k} must be in [1, {n - 1}]")
-    if not is_zero_sum(group, bits):
-        raise ValueError("subset does not sum to the identity")
     comp = tuple(1 - b for b in bits)
     e = sequence_sum(group, [1] * n)
     if e == 0:

@@ -48,6 +48,15 @@ def is_zero_sum(group: GroupSpec, vec) -> bool:
     return sequence_sum(group, vec) == 0
 
 
+def _zero_sum_input(group: GroupSpec, vec, subset: bool = False) -> tuple[tuple[int, ...], int]:
+    """The checked vector (indicator if subset) of an input that must sum to
+    the identity, and its mass: the one entry check of the bijections."""
+    vec = check_indicator(group, vec) if subset else check_vector(group, vec)
+    if any(_sum_coord(group, vec, axis) for axis in range(group.rank)):
+        raise ValueError(f"{'subset' if subset else 'sequence'} does not sum to the identity")
+    return vec, sum(vec)
+
+
 def digit_totals(group: GroupSpec, vec, axis: int) -> tuple[int, ...]:
     """Total multiplicity per value of the axis-th mixed-radix digit."""
     vec = check_vector(group, vec)

@@ -97,6 +97,9 @@ def test_budget_errors():
         enum_subsets(g, 6, 0, limit=100)
     with pytest.raises(EnumerationLimitError):
         enum_pairs(g, 10, 6, 0, limit=10_000)
+    for call in (enum_sequences, enum_subsets):
+        with pytest.raises(ValueError, match=r"^the budget must be >= 0, got -5$"):
+            call(g, 2, 0, limit=-5)
 
 
 def test_limit_env_override(monkeypatch):
@@ -105,6 +108,10 @@ def test_limit_env_override(monkeypatch):
     g = GroupSpec((10,))
     with pytest.raises(EnumerationLimitError):
         enum_sequences(g, 3, 0)  # C(12,3) = 220 > 50
+    for bad in ("-1", "x", "1.5"):
+        monkeypatch.setenv("ZSCOMB_LIMIT", bad)
+        with pytest.raises(ValueError, match=f"^ZSCOMB_LIMIT must be an integer >= 0, got '{bad}'$"):
+            default_limit()
     monkeypatch.delenv("ZSCOMB_LIMIT")
     assert default_limit() == 10_000_000
 
@@ -141,6 +148,27 @@ def test_out_of_range_target_rejected_everywhere():
             with pytest.raises(ValueError, match="out of range"):
                 call(bad)
         call(4)  # the largest label is fine
+
+
+def test_bad_sizes_rejected_with_one_message():
+    g = GroupSpec((5,))
+    length = "length must be >= 0, got -1"
+    subset = "subset size {} out of range for order 5"
+    calls = (
+        (lambda: enum_sequences(g, -1), length),
+        (lambda: sequences_by_sum(g, -1), length),
+        (lambda: count_sequences(g, -1), length),
+        (lambda: enum_pairs(g, -1, 1), length),
+        (lambda: enum_pairs(g, -1, 6), length),  # the multiset side is checked first
+        *((lambda k=k: enum_subsets(g, k), subset.format(k)) for k in (-1, 6)),
+        *((lambda k=k: subsets_by_sum(g, k), subset.format(k)) for k in (-1, 6)),
+        *((lambda k=k: count_subsets(g, k), subset.format(k)) for k in (-1, 6)),
+        *((lambda k=k: enum_pairs(g, 1, k), subset.format(k)) for k in (-1, 6)),
+    )
+    for call, reason in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == reason
 
 
 def _reference(group, size, distinct):

@@ -404,6 +404,20 @@ def test_limit_flag_exit_2(capsys):
     }
 
 
+def test_bad_limit_variable_exit_2(capsys, monkeypatch):
+    for bad in ("-1", "x"):
+        monkeypatch.setenv("ZSCOMB_LIMIT", bad)
+        code, out = invoke(capsys, "enum", "subsets", "--group", "5", "--size", "2")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ValueError",
+            "reason": f"ZSCOMB_LIMIT must be an integer >= 0, got '{bad}'",
+        }
+    # an explicit --limit does not read the variable
+    code, _ = invoke(capsys, "enum", "subsets", "--group", "5", "--size", "2", "--limit", "10")
+    assert code == 0
+
+
 def test_pretty_flag(capsys):
     code, out = invoke(
         capsys, "count", "sequences", "--group", "2,2", "--length", "3", "--pretty"

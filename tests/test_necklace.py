@@ -26,8 +26,10 @@ from zscomb import (
     target_sum_shift,
     translate_complement_bijection,
     v2,
+    word_to_gaps,
     zero_sum_shift,
 )
+from zscomb.necklaces import _gaps_after
 
 
 def groups_through(lo, hi):
@@ -61,6 +63,32 @@ def test_canonical_rotation_matches_min_over_rotations():
         words.append(block * rng.choice([1, 1, 2, 3, 5]))
     for word in words:
         assert canonical_rotation(word) == _canonical_rotation_by_min(word), word
+
+
+@pytest.mark.parametrize("colors", ["01", "RB", "RGB"])
+def test_gap_readers_match_positional_reference(colors):
+    """Both gap readers against marker positions: _gaps_after counts the
+    beads after each marker up to the next one, cyclically from the first
+    marker; word_to_gaps counts the north steps before each east step."""
+    rng = random.Random(colors)
+    words = [w for w in ("1", "0", "0001", "R", "B", "GB") if set(w) <= set(colors)]
+    words += ["".join(rng.choice(colors) for _ in range(rng.randint(1, 30))) for _ in range(2000)]
+    for word in words:
+        for marker in colors:
+            at = [i for i, c in enumerate(word) if c == marker]
+            if at:
+                after = tuple(b - a - 1 for a, b in zip(at, at[1:] + [at[0] + len(word)]))
+                assert _gaps_after(word, marker) == after, (word, marker)
+            else:
+                with pytest.raises(ValueError, match="has no"):
+                    _gaps_after(word, marker)
+            if marker == "1" and word.endswith("1"):
+                before = tuple(b - a - 1 for a, b in zip([-1] + at, at))
+                assert word_to_gaps(word) == before, word
+            elif marker == "1":  # no east step, or not last
+                with pytest.raises(ValueError, match="final step"):
+                    word_to_gaps(word)
+    assert (_gaps_after("R", "R"), word_to_gaps("1")) == ((0,), (0,))
 
 
 def test_worked_example_necklace():

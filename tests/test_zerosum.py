@@ -9,15 +9,21 @@ from hypothesis import strategies as st
 
 from zscomb import (
     GroupSpec,
+    complement_bijection,
     cyclic_shift,
     digit_totals,
     is_zero_sum,
     is_zero_sum_by_congruences,
     normalize_group,
+    reciprocity_bijection,
     rotations_with_sum,
     sequence_sum,
+    sequence_to_dyck,
+    sequence_to_necklace,
+    subset_to_dyck,
     target_sum_shift,
     translate,
+    translate_complement_bijection,
     weighted_label_sum,
     zero_sum_shift,
 )
@@ -103,6 +109,25 @@ def test_digit_totals():
 
 def test_weighted_label_sum():
     assert weighted_label_sum((1, 0, 2, 0, 0, 1, 1)) == 0 + 4 + 5 + 6
+
+
+@pytest.mark.parametrize(
+    "bijection,kind",
+    [
+        (sequence_to_dyck, "sequence"),
+        (sequence_to_necklace, "sequence"),
+        (lambda g, vec: reciprocity_bijection(g, GroupSpec((5,)), vec), "sequence"),
+        (subset_to_dyck, "subset"),
+        (complement_bijection, "subset"),
+        (translate_complement_bijection, "subset"),
+    ],
+    ids=["seq-to-dyck", "necklace", "reciprocity", "subset-to-dyck", "complement", "translate"],
+)
+def test_bijections_refuse_inputs_off_the_identity(bijection, kind):
+    # mass 5 and size 2 meet every other precondition over Z/7; the sums are 1 and 3
+    vec = (4, 1, 0, 0, 0, 0, 0) if kind == "sequence" else (0, 1, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=f"^{kind} does not sum to the identity$"):
+        bijection(GroupSpec((7,)), vec)
 
 
 def test_zero_sum_shift_worked_example():
