@@ -2,8 +2,9 @@
 
 One divisor sum over the target's memoised character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
-subsets are its two edges.  :func:`exact_div` turns any non-exact division
-into a loud error as each value is a cardinality.
+subsets are its two edges.  Each public count checks its inputs once and
+then runs the unchecked sum, `_pair_count`.  :func:`exact_div` turns any
+non-exact division into a loud error as each value is a cardinality.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
     ``count_pairs_coefficient(group, target, 0, k)``."""
     group.check_label(target)
     group.check_size(k, subset=True)
-    return count_pairs_coefficient(group, target, 0, k)
+    return _pair_count(group, target, 0, k)
 
 
 def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
@@ -45,7 +46,7 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     ``count_pairs_coefficient(group, target, m, 0)``."""
     group.check_label(target)
     group.check_size(m)
-    return count_pairs_coefficient(group, target, m, 0)
+    return _pair_count(group, target, m, 0)
 
 
 def _check_shape(a: int, b: int) -> None:
@@ -93,9 +94,14 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
     and is 0 for k > n.  Its k = 0 and p = 0 edges are count_sequences and count_subsets.
     """
     group.check_label(target)
+    if not (type(p) is type(k) is int and p >= 0 and k >= 0):  # plain ints skip the calls
+        p, k = group.check_size(p), group.check_size(k)
+    return _pair_count(group, target, p, k)
+
+
+def _pair_count(group: GroupSpec, target: int, p: int, k: int) -> int:
+    """:func:`count_pairs_coefficient` on inputs its callers have checked."""
     n = group.order
-    if p < 0 or k < 0:
-        raise ValueError(f"need p, k >= 0, got ({p}, {k})")
     if k > n:
         return 0
     total = 0

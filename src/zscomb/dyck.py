@@ -67,27 +67,55 @@ def is_dyck(a: int, b: int, path) -> bool:
 def enum_dyck(a: int, b: int, limit: int | None = None) -> list[str]:
     """All (a, b)-Dyck paths as step words in lexicographic order ('0' < '1').
 
-    Charged Cat(a, b) = C(a+b, a) / (a+b) against the enumeration budget.
-    Each pop emits the smallest path through a prefix (north to b, then east)
-    and pushes the prefixes that step east lower down; no recursion.
+    Charged Cat(a, b) = C(a+b, a) / (a+b) against the enumeration budget
+    before any table is built.  A split walk: tails[y] lists, in order, the
+    completions of a prefix whose last step is east step `mid` at height y,
+    so a path costs one concatenation in C once its prefix reaches `mid`.
+    The tables start at east step lowest.index(b), after which a path runs
+    north to b and then east, and grow back one level at a time until they
+    hold more than Cat / 64 strings; each string completes a distinct path,
+    so they stay bounded by the output.  Above `mid` a stack walk (no
+    recursion) emits the smallest path through each prefix (north to b, then
+    east) and pushes the prefixes that step east lower down.
     """
     cat = rational_catalan(a, b)
     _check_budget(cat, limit)
     lowest = [-(-b * (x + 1) // a) for x in range(a)]  # east step x needs a*y >= b*(x+1)
+
+    def heights(x):  # the heights of the prefixes whose last step is east step x
+        return range(lowest[x - 1], b + 1) if x else (0,)
+
+    mid = lowest.index(b)
+    tails = {y: ["0" * (b - y) + "1" * (a - mid)] for y in heights(mid)}
+    kept = len(tails)
+    for x in range(mid - 1, -1, -1):  # north to some h, east, then a completion one level on
+        tails = {
+            y: [
+                p + t
+                for h in range(b, max(y, lowest[x]) - 1, -1)
+                for p in ("0" * (h - y) + "1",)
+                for t in tails[h]
+            ]
+            for y in heights(x)
+        }
+        kept += sum(map(len, tails.values()))
+        mid = x
+        if 64 * kept > cat:
+            break
     out: list[str] = []
     stack = [""]
     while stack:
         word = stack.pop()
         x = word.count("1")
         y = len(word) - x
+        if x == mid:
+            out += map(word.__add__, tails[y])
+            continue
         if y < lowest[x]:
             word += "0" * (lowest[x] - y)
             y = lowest[x]
-        if x == a - 2:  # the children's completions are all forced
-            out += [word + "0" * (h - y) + "1" + "0" * (b - h) + "1" for h in range(b, y - 1, -1)]
-        else:
-            out.append(word + "0" * (b - y) + "1" * (a - x))
-            stack += [word + "0" * j + "1" for j in range(b - y)]
+        out.append(word + "0" * (b - y) + "1" * (a - x))
+        stack += [word + "0" * j + "1" for j in range(b - y)]
     _check(len(out) == cat, "Dyck path count is Cat(a, b)", a=a, b=b)
     return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import gcd, lcm, prod
+from operator import index
 
 
 @cache
@@ -54,6 +55,15 @@ def mobius(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
+
+
+def _integer(value, what: str) -> int:
+    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; the
+    checks below call it only off the plain-int fast path."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class GroupSpec:
@@ -126,13 +136,17 @@ class GroupSpec:
     # -- label arithmetic ---------------------------------------------------
 
     def check_label(self, label: int) -> int:
-        """Return label unchanged if it names an element; raise ValueError if not."""
+        """Return label as an int if it names an element; raise ValueError if not."""
+        if type(label) is not int:
+            label = _integer(label, "label")
         if not 0 <= label < self.order:
             raise ValueError(f"label {label} out of range for order {self.order}")
         return label
 
     def check_size(self, size: int, subset: bool = False) -> int:
-        """Return size unchanged if it is a multiset length (subset size if subset)."""
+        """Return size as an int if it is a multiset length (subset size if subset)."""
+        if type(size) is not int:
+            size = _integer(size, "subset size" if subset else "length")
         if subset and not 0 <= size <= self.order:
             raise ValueError(f"subset size {size} out of range for order {self.order}")
         if size < 0:

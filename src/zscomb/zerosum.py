@@ -15,25 +15,29 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, prod
+from operator import index
 
 from .errors import _check
 from .groups import GroupSpec
 
 
 def check_vector(group: GroupSpec, vec) -> tuple[int, ...]:
-    vec = tuple(vec)
+    try:
+        vec = tuple(map(index, vec))
+    except TypeError:
+        raise ValueError(f"multiplicities must be integers, got {vec!r}") from None
     if len(vec) != group.order:
         raise ValueError(
             f"vector length {len(vec)} does not match group order {group.order}"
         )
-    if any(x < 0 for x in vec):
+    if min(vec, default=0) < 0:
         raise ValueError(f"multiplicities must be >= 0, got {vec}")
     return vec
 
 
 def check_indicator(group: GroupSpec, vec) -> tuple[int, ...]:
     vec = check_vector(group, vec)
-    if any(x > 1 for x in vec):
+    if max(vec, default=0) > 1:
         raise ValueError(f"indicator entries must be 0 or 1, got {vec}")
     return vec
 

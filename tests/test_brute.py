@@ -171,6 +171,28 @@ def test_bad_sizes_rejected_with_one_message():
         assert str(err.value) == reason
 
 
+def test_non_integer_inputs_rejected():
+    g = GroupSpec((3,))
+    calls = (
+        (lambda: sequence_sum(g, (0.5, 0, 0)), "multiplicities must be integers, got (0.5, 0, 0)"),
+        (lambda: is_zero_sum(g, (1.0, 1, 1)), "multiplicities must be integers, got (1.0, 1, 1)"),
+        (lambda: target_sum_shift(g, (1, 0.0, 0), 0), "multiplicities must be integers, got (1, 0.0, 0)"),
+        (lambda: count_sequences(g, 2.5), "length must be an integer, got 2.5"),
+        (lambda: enum_sequences(g, 1.0), "length must be an integer, got 1.0"),
+        (lambda: count_subsets(g, 1.0), "subset size must be an integer, got 1.0"),
+        (lambda: count_pairs_coefficient(g, 0, 2.5, 0), "length must be an integer, got 2.5"),
+        (lambda: count_sequences(g, 2, 0.5), "label must be an integer, got 0.5"),
+        (lambda: enum_subsets(g, 1, 1.0), "label must be an integer, got 1.0"),
+        (lambda: g.coords(1.5), "label must be an integer, got 1.5"),
+    )
+    for call, reason in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == reason
+    # anything with __index__ is an integer, and comes back as an int
+    assert sequence_sum(g, (True, 0, 0)) == 0 and count_sequences(g, True) == 1
+
+
 def _reference(group, size, distinct):
     """(labels, sum) of every candidate, the sum folded label by label
     through GroupSpec.add."""

@@ -1,5 +1,6 @@
 """Rational Dyck paths and the rotation bijections into them."""
 
+import hashlib
 import pickle
 import random
 from itertools import combinations
@@ -62,19 +63,41 @@ def test_is_dyck_gap_and_step_forms_agree():
         is_dyck(4, 2, "001011")  # endpoints not coprime
 
 
+def _dyck_reference(a, b):
+    """Every step word with a east steps, filtered by is_dyck, in order."""
+    words = (
+        "".join("1" if i in east else "0" for i in range(a + b))
+        for east in combinations(range(a + b), a)
+    )
+    return sorted(w for w in words if is_dyck(a, b, w))
+
+
+COPRIME_UP_TO_16 = [(a, s - a) for s in range(2, 17) for a in range(1, s) if gcd(a, s - a) == 1]
+
+
+@pytest.mark.parametrize("a, b", [*COPRIME_UP_TO_16, (40, 3), (3, 40)])
+def test_enum_dyck_matches_filtered_reference(a, b):
+    paths = enum_dyck(a, b)
+    assert len(paths) == rational_catalan(a, b)
+    assert paths == _dyck_reference(a, b)
+
+
 def test_enum_dyck_counts_and_order():
     assert enum_dyck(3, 2) == ["00111", "01011"]
-    for a, b in ((1, 1), (2, 3), (3, 4), (5, 3), (7, 5), (4, 9)):
-        paths = enum_dyck(a, b)
-        assert len(paths) == rational_catalan(a, b)
-        assert paths == sorted(paths)
-        assert len(set(paths)) == len(paths)
-        # reference: every step word, filtered by is_dyck
-        words = (
-            "".join("1" if i in east else "0" for i in range(a + b))
-            for east in combinations(range(a + b), a)
-        )
-        assert paths == sorted(w for w in words if is_dyck(a, b, w))
+    assert enum_dyck(1, 5) == ["000001"] and enum_dyck(5, 1) == ["011111"]
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (11, 13, "67bf541b20265efa74f334d6d58a5b7c12ee3956a283fb8490b72eab7d0b30c2"),
+        (10, 13, "5684a4a65ef3ef6b1941a27725e0c2c833076d0ee781781c10d3391e5146678e"),
+        (13, 11, "c8bb8ab046a05976015b100b22cde923f4e1d203211a248bf08950e7ad65b3f5"),
+    ],
+)
+def test_enum_dyck_digest(a, b, expected):
+    """SHA-256 of the newline-joined listing, pinned on the plain stack walk."""
+    assert hashlib.sha256("\n".join(enum_dyck(a, b)).encode()).hexdigest() == expected
 
 
 def test_enum_dyck_cap():
@@ -94,7 +117,9 @@ def test_enum_dyck_budget_counts_paths_not_length():
     paths = enum_dyck(2, 2001)
     assert len(paths) == 1001 and paths == sorted(paths)
     assert paths[0] == "0" * 2001 + "11" and paths[-1] == "0" * 1001 + "1" + "0" * 1000 + "1"
-    assert enum_dyck(3001, 2)[0] == "00" + "1" * 3001
+    paths = enum_dyck(3001, 2)
+    assert len(paths) == 1501
+    assert paths[0] == "00" + "1" * 3001 and paths[-1] == "0" + "1" * 1500 + "0" + "1" * 1501
 
 
 def test_worked_example_sequence_to_dyck():

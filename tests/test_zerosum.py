@@ -56,6 +56,8 @@ def test_vector_validation():
         sequence_sum(g, (1, 2, 3))  # wrong length
     with pytest.raises(ValueError):
         sequence_sum(g, (1, -1, 0, 0))
+    with pytest.raises(ValueError, match="indicator entries must be 0 or 1"):
+        subset_to_dyck(g, (2, 1, 0, 1))
 
 
 @given(small_groups, st.data())
