@@ -94,8 +94,8 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
     and is 0 for k > n.  Its k = 0 and p = 0 edges are count_sequences and count_subsets.
     """
     group.check_label(target)
-    if not (type(p) is type(k) is int and p >= 0 and k >= 0):  # plain ints skip the calls
-        p, k = group.check_size(p), group.check_size(k)
+    group.check_size(p)
+    group.check_size(k, subset=True, capped=False)
     return _pair_count(group, target, p, k)
 
 

@@ -143,14 +143,15 @@ class GroupSpec:
             raise ValueError(f"label {label} out of range for order {self.order}")
         return label
 
-    def check_size(self, size: int, subset: bool = False) -> int:
-        """Return size as an int if it is a multiset length (subset size if subset)."""
+    def check_size(self, size: int, subset: bool = False, capped: bool = True) -> int:
+        """Return size as an int if it is a multiset length, or if subset a
+        subset size: at most the order unless not capped."""
         if type(size) is not int:
             size = _integer(size, "subset size" if subset else "length")
-        if subset and not 0 <= size <= self.order:
+        if subset and capped and not 0 <= size <= self.order:
             raise ValueError(f"subset size {size} out of range for order {self.order}")
         if size < 0:
-            raise ValueError(f"length must be >= 0, got {size}")
+            raise ValueError(f"{'subset size' if subset else 'length'} must be >= 0, got {size}")
         return size
 
     def coords(self, label: int) -> tuple[int, ...]:

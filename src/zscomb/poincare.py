@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .brute import sequences_by_sum, subsets_by_sum
-from .counting import _pair_count, exact_div
+from .counting import count_pairs_coefficient, exact_div
 from .errors import _check
 from .groups import GroupSpec, character_profile
 
@@ -72,9 +72,8 @@ def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> Coe
     """Coefficient table through degrees (max_s, max_t), doubly computed."""
     if max_s < 0 or max_t < 0:
         raise ValueError(f"bounds must be >= 0, got ({max_s}, {max_t})")
-    target = group.check_label(target)
     closed = [
-        [_pair_count(group, target, p, k) for k in range(max_t + 1)]
+        [count_pairs_coefficient(group, target, p, k) for k in range(max_t + 1)]
         for p in range(max_s + 1)
     ]
     series = _series_table(group, target, max_s, max_t)

@@ -164,6 +164,9 @@ def test_bad_sizes_rejected_with_one_message():
         *((lambda k=k: subsets_by_sum(g, k), subset.format(k)) for k in (-1, 6)),
         *((lambda k=k: count_subsets(g, k), subset.format(k)) for k in (-1, 6)),
         *((lambda k=k: enum_pairs(g, 1, k), subset.format(k)) for k in (-1, 6)),
+        (lambda: count_pairs_coefficient(g, 0, -1, 1), length),
+        (lambda: count_pairs_coefficient(g, 0, -1, -1), length),  # p is checked first
+        (lambda: count_pairs_coefficient(g, 0, 1, -1), "subset size must be >= 0, got -1"),
     )
     for call, reason in calls:
         with pytest.raises(ValueError) as err:
@@ -181,6 +184,7 @@ def test_non_integer_inputs_rejected():
         (lambda: enum_sequences(g, 1.0), "length must be an integer, got 1.0"),
         (lambda: count_subsets(g, 1.0), "subset size must be an integer, got 1.0"),
         (lambda: count_pairs_coefficient(g, 0, 2.5, 0), "length must be an integer, got 2.5"),
+        (lambda: count_pairs_coefficient(g, 0, 0, 0.5), "subset size must be an integer, got 0.5"),
         (lambda: count_sequences(g, 2, 0.5), "label must be an integer, got 0.5"),
         (lambda: enum_subsets(g, 1, 1.0), "label must be an integer, got 1.0"),
         (lambda: g.coords(1.5), "label must be an integer, got 1.5"),

@@ -132,7 +132,7 @@ def test_series_cross_check_reports():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         poincare_table(GroupSpec((2,)), 0, -1, 2)
-    # the target is checked once, before the closed-form cells are evaluated
+    # a bad target is refused, also one that is not an integer
     for target, reason in ((2, "label 2 out of range for order 2"), (0.5, "label must be an integer, got 0.5")):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             poincare_table(GroupSpec((2,)), target, 2, 2)
