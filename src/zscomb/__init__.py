@@ -21,8 +21,8 @@ _HOME = {
          " subset_reci_predicate sum_all_elements_is_zero v2 verify_gcp verify_subset_reciprocity"),
         ("brute", "default_limit enum_pairs enum_sequences enum_subsets sequences_by_sum"
          " subsets_by_sum"),
-        ("counting", "count_pairs_coefficient count_sequences count_subsets exact_div multinomial"
-         " pair_dimension rational_catalan"),
+        ("counting", "count_pairs_coefficient count_sequences count_subsets exact_div exact_div_row"
+         " multinomial pair_count_table pair_dimension rational_catalan"),
         ("dyck", "dyck_to_sequence dyck_to_subset enum_dyck gaps_to_word is_dyck sequence_to_dyck"
          " subset_to_dyck word_to_gaps"),
         ("errors", "EnumerationLimitError ExactDivisionError InvariantError"),

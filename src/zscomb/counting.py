@@ -3,8 +3,10 @@
 One divisor sum over the target's memoised character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
 subsets are its two edges.  Each public count checks its inputs once and
-then runs the unchecked sum, `_pair_count`.  :func:`exact_div` turns any
-non-exact division into a loud error as each value is a cardinality.
+then runs the unchecked sum, `_pair_count`; :func:`pair_count_table` checks
+a whole table's inputs once and fills its rows from one binomial column per
+divisor.  :func:`exact_div` turns any non-exact division into a loud error
+as each value is a cardinality.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import ExactDivisionError
-from .groups import GroupSpec, character_profile
+from .groups import GroupSpec, _integer, character_profile
 
 
 def exact_div(num: int, den: int) -> int:
@@ -20,6 +22,13 @@ def exact_div(num: int, den: int) -> int:
     if r:
         raise ExactDivisionError(f"{num} is not divisible by {den}")
     return q
+
+
+def exact_div_row(row: list[int], den: int) -> list[int]:
+    """``[exact_div(c, den) for c in row]`` with one remainder scan."""
+    if any(c % den for c in row):
+        return [exact_div(c, den) for c in row]  # raises at the first inexact cell
+    return [c // den for c in row]
 
 
 def multinomial(n: int, *parts: int) -> int:
@@ -51,6 +60,8 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
 
 def _check_shape(a: int, b: int) -> None:
     """The (a, b) of a rational Catalan number or Dyck path: coprime, both >= 1."""
+    if type(a) is not int or type(b) is not int:
+        a, b = _integer(a, "a"), _integer(b, "b")
     if a < 1 or b < 1:
         raise ValueError(f"need a, b >= 1, got ({a}, {b})")
     if gcd(a, b) != 1:
@@ -72,6 +83,7 @@ def pair_dimension(p: int, q: int, m: int, group: GroupSpec) -> int:
         * multinomial((p+q+m)/d; p/d, q/d, m/d),
     which reduces to multinomial(p+q+m; p,q,m)/(p+q+m) when gcd(p,q,m) = 1.
     """
+    p, q, m = _integer(p, "p"), _integer(q, "q"), _integer(m, "m")
     if min(p, q, m) < 0 or p + q + m < 1:
         raise ValueError(f"need p, q, m >= 0 and p+q+m >= 1, got {(p, q, m)}")
     if group.order != q + m:
@@ -111,3 +123,34 @@ def _pair_count(group: GroupSpec, target: int, p: int, k: int) -> int:
             nd, pd, kd = n // d, p // d, k // d
             total += chi * sign * comb(nd + pd - 1, pd) * comb(nd, kd)
     return exact_div(total, n)
+
+
+def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> list[list[int]]:
+    """Rows p = 0..max_s of ``count_pairs_coefficient(group, target, p, k)``
+    for k = 0..max_t, with the inputs checked once for the whole table.
+
+    Each divisor d of the profile gives one column, its nonzero entries
+    (-1)^(k + k/d) * C(n/d, k/d) at d | k <= n; row p adds, for each d
+    dividing p, that column times character_sum(target, d) * C(n/d + p/d - 1, p/d).
+    """
+    profile = character_profile(group, target)  # checks the target
+    max_s = group.check_size(max_s)
+    max_t = group.check_size(max_t, subset=True, capped=False)
+    n = group.order
+    columns = []
+    for d, chi in profile:
+        nd, col = n // d, []
+        for k in range(0, min(max_t, n) + 1, d):
+            c = comb(nd, k // d)
+            col.append((k, -c if (k + k // d) % 2 else c))
+        columns.append((d, nd, chi, col))
+    rows = []
+    for p in range(max_s + 1):
+        row = [0] * (max_t + 1)
+        for d, nd, chi, col in columns:
+            if p % d == 0:
+                f = chi * comb(nd + p // d - 1, p // d)
+                for k, c in col:
+                    row[k] += f * c
+        rows.append(exact_div_row(row, n))
+    return rows

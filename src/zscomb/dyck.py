@@ -15,6 +15,7 @@ point is involved anywhere.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 
 from .brute import _check_budget
 from .counting import _check_shape, rational_catalan
@@ -53,10 +54,13 @@ def is_dyck(a: int, b: int, path) -> bool:
         if not path.endswith("1"):
             return False
         path = word_to_gaps(path)
-    gaps = tuple(path)
+    try:
+        gaps = tuple(map(index, path))
+    except TypeError:
+        raise ValueError(f"gaps must be integers, got {path!r}") from None
     if len(gaps) != a:
         raise ValueError(f"gap vector must have {a} entries")
-    if any(g < 0 for g in gaps):
+    if min(gaps, default=0) < 0:
         raise ValueError(f"gaps must be >= 0, got {gaps}")
     if sum(gaps) != b:
         raise ValueError(f"gaps must total {b}, got {sum(gaps)}")

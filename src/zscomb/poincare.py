@@ -8,9 +8,12 @@ variables (s tracks multiset size, t tracks subset size):
     (1/n) * sum over d | exponent of
         character_sum(g, d) * ((1 - (-t)^d) / (1 - s^d))^(n/d).
 
-Every table is computed twice, once entry-by-entry from the closed formula
-and once by truncated power-series expansion of the sum above, and the two
-must agree before a table is returned.
+Every table is computed twice, and the two must agree before it is
+returned.  The closed route, :func:`counting.pair_count_table`, checks the
+target and both bounds once per table and fills each row from one binomial
+column per divisor of the closed formula.  The series route expands the sum
+above, truncated, with its own binomials and signs, so the agreement check
+compares two tables that were built separately.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .brute import sequences_by_sum, subsets_by_sum
-from .counting import count_pairs_coefficient, exact_div
+from .counting import exact_div_row, pair_count_table
 from .errors import _check
 from .groups import GroupSpec, character_profile
 
@@ -60,22 +63,21 @@ def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
         # (1 - (-t)^d)^(n/d): the t^(d*j) coefficient is C(n/d, j) times
         # (-1)^j from the binomial and (-1)^(d*j) from (-t)^d, so the sign
         # is (-1)^(j*(d+1)); for even d the terms alternate.
-        for j in range(0, min(nd, max_t // d) + 1):
-            tcoef = comb(nd, j) if (j * (d + 1)) % 2 == 0 else -comb(nd, j)
-            # 1/(1 - s^d)^(n/d) has s^(d*i) coefficient C(n/d + i - 1, i).
-            for i in range(0, max_s // d + 1):
-                acc[d * i][d * j] += chi * tcoef * comb(nd + i - 1, i)
-    return [[exact_div(c, n) for c in row] for row in acc]
+        tcoefs = [
+            (d * j, comb(nd, j) if (j * (d + 1)) % 2 == 0 else -comb(nd, j))
+            for j in range(0, min(nd, max_t // d) + 1)
+        ]
+        # 1/(1 - s^d)^(n/d) has s^(d*i) coefficient C(n/d + i - 1, i).
+        for i in range(0, max_s // d + 1):
+            row, scoef = acc[d * i], chi * comb(nd + i - 1, i)
+            for k, tcoef in tcoefs:
+                row[k] += scoef * tcoef
+    return [exact_div_row(row, n) for row in acc]
 
 
 def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> CoeffTable:
     """Coefficient table through degrees (max_s, max_t), doubly computed."""
-    if max_s < 0 or max_t < 0:
-        raise ValueError(f"bounds must be >= 0, got ({max_s}, {max_t})")
-    closed = [
-        [count_pairs_coefficient(group, target, p, k) for k in range(max_t + 1)]
-        for p in range(max_s + 1)
-    ]
+    closed = pair_count_table(group, target, max_s, max_t)
     series = _series_table(group, target, max_s, max_t)
     agree = closed == series
     _check(agree, "closed-form and series tables agree", group=str(group), target=target)

@@ -99,6 +99,12 @@ def test_rational_catalan():
         rational_catalan(0, 3)
 
 
+def test_rational_catalan_refuses_non_integers():
+    for a, b, reason in ((2.0, 3, "a must be an integer, got 2.0"), (2, 3.5, "b must be an integer, got 3.5")):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            rational_catalan(a, b)
+
+
 def test_cyclic_reciprocity_all_labels():
     # |M(C_n, m, i)| = |M(C_m, n, i)| for every shared label i, even when
     # n and m are not coprime: both sides reduce to the same divisor sum.
@@ -148,6 +154,13 @@ def test_pair_dimension_validation():
         pair_dimension(1, 1, 1, GroupSpec((3,)))  # order must be q + m
     with pytest.raises(ValueError):
         pair_dimension(0, 0, 0, GroupSpec(()))
+
+
+def test_pair_dimension_refuses_non_integers():
+    g = GroupSpec((2,))
+    for p, q, m, name, bad in ((1.5, 1, 1, "p", 1.5), (1, 1.0, 1, "q", 1.0), (1, 1, 1.0, "m", 1.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            pair_dimension(p, q, m, g)
 
 
 def test_count_pairs_coefficient_against_oracle():

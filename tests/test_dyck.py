@@ -63,6 +63,19 @@ def test_is_dyck_gap_and_step_forms_agree():
         is_dyck(4, 2, "001011")  # endpoints not coprime
 
 
+def test_is_dyck_refuses_non_integer_gaps():
+    # 1.5 + 0.5 totals 2 and stays above the line, yet is no gap vector
+    with pytest.raises(ValueError, match=r"^gaps must be integers, got \(1\.5, 0\.5, 0\)$"):
+        is_dyck(3, 2, (1.5, 0.5, 0))
+    assert is_dyck(3, 2, [True, True, 0])  # anything with __index__ is an integer
+
+
+def test_enum_dyck_refuses_non_integer_shape():
+    for a, b, reason in ((3, 2.0, "b must be an integer, got 2.0"), (3.0, 2, "a must be an integer, got 3.0")):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            enum_dyck(a, b)
+
+
 def _dyck_reference(a, b):
     """Every step word with a east steps, filtered by is_dyck, in order."""
     words = (

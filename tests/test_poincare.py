@@ -5,12 +5,17 @@ from math import comb, gcd
 import pytest
 
 from zscomb import (
+    ExactDivisionError,
     GroupSpec,
+    InvariantError,
     all_abelian_groups,
     count_pairs_coefficient,
     count_sequences,
     count_subsets,
+    exact_div_row,
+    pair_count_table,
     pair_dimension,
+    poincare,
     poincare_table,
     series_cross_check,
 )
@@ -132,7 +137,55 @@ def test_series_cross_check_reports():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         poincare_table(GroupSpec((2,)), 0, -1, 2)
+    # the bounds are a multiset length and an uncapped subset size
+    for max_s, max_t, reason in (
+        (2.5, 3, "length must be an integer, got 2.5"),
+        (2, 3.0, "subset size must be an integer, got 3.0"),
+        (2, -1, "subset size must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            poincare_table(GroupSpec((6,)), 0, max_s, max_t)
     # a bad target is refused, also one that is not an integer
     for target, reason in ((2, "label 2 out of range for order 2"), (0.5, "label must be an integer, got 0.5")):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             poincare_table(GroupSpec((2,)), target, 2, 2)
+
+
+def per_cell(g, target, max_s, max_t):
+    return [
+        [count_pairs_coefficient(g, target, p, k) for k in range(max_t + 1)]
+        for p in range(max_s + 1)
+    ]
+
+
+def test_pair_count_table_equals_per_cell_counts():
+    for g in groups_through(32):  # the trivial group first
+        n, e = g.order, g.exponent
+        # (0, 0), past the order, and bounds that several divisors of the
+        # exponent divide
+        bounds = ((0, 0), (3, n + 2), (2 * e, e))
+        for target in g.elements():
+            for max_s, max_t in bounds:
+                assert pair_count_table(g, target, max_s, max_t) == per_cell(g, target, max_s, max_t)
+
+
+def test_exact_div_row():
+    assert exact_div_row([0, 6, -12], 6) == [0, 1, -2]
+    with pytest.raises(ExactDivisionError, match="^7 is not divisible by 6$"):
+        exact_div_row([6, 7, 8], 6)
+
+
+@pytest.mark.parametrize("route", ["pair_count_table", "_series_table"])
+def test_route_disagreement_is_caught(monkeypatch, route):
+    # one wrong cell in either route must fail the table, also under python -O
+    real = getattr(poincare, route)
+
+    def one_cell_off(*args):
+        rows = real(*args)
+        rows[2][1] += 1
+        return rows
+
+    monkeypatch.setattr(poincare, route, one_cell_off)
+    with pytest.raises(InvariantError, match="^closed-form and series tables agree ") as info:
+        poincare_table(GroupSpec((2, 4)), 3, 4, 4)
+    assert info.value.context == {"group": "2,4", "target": 3}
