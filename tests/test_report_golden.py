@@ -31,6 +31,18 @@ def test_verifier_report_digests():
     )
 
 
+def test_verifier_report_digests_at_benchmark_bounds():
+    assert digest(verify_subset_reciprocity(256)) == (
+        "58915de4a79e79c2979a9561a3a12d8d717ad153cdedd95c3da5e11a5d68f49f"
+    )
+    assert digest(reciprocity_scan(120)) == (
+        "8d1de6e81a6b57d13fe6da9593b647382b33b18b274a1b8e6d1e20795d8ab93e"
+    )
+    assert digest(verify_gcp(2048, (5, 7, 3, 2))) == (
+        "675abf236f35641add52461e949b15d3536d4e1c6d1da4ccf16753bc79499667"
+    )
+
+
 @pytest.mark.parametrize(
     "factors, target, side, expected",
     [
