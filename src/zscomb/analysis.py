@@ -18,7 +18,7 @@ from itertools import chain, product
 from math import comb, gcd
 
 from .brute import enum_sequences
-from .counting import count_sequences, count_subsets, rational_catalan
+from .counting import count_sequences, pair_count_table, rational_catalan
 from .errors import _check
 from .groups import GroupSpec, factorize, is_prime, normalize_group
 
@@ -116,7 +116,7 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     rows, failures = [], []
     for group in _groups_up_to(max_order):
         n, name = group.order, str(group)
-        counts = [count_subsets(group, k, 0) for k in range(1, n)]
+        counts = pair_count_table(group, 0, 0, n - 1)[0][1:]  # k = 1..n-1
         for k, ck, cnk in zip(range(1, n), counts, reversed(counts)):
             pred = subset_reci_predicate(group, k)
             row = {
@@ -152,15 +152,14 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
-    rows, failures, cyclic, rights = [], [], {}, {}  # rights: (p, |G|) -> |M(C_p, |G|)|
+    rows, failures, rights = [], [], {}  # rights[p][m] = |M(C_p, m)|
     for group in _groups_up_to(max_order):
         name = str(group)
         for p in primes:
             left = count_sequences(group, p, 0)
-            if (p, group.order) not in rights:
-                cyclic[p] = cyclic.get(p) or GroupSpec((p,))
-                rights[p, group.order] = count_sequences(cyclic[p], group.order, 0)
-            right = rights[p, group.order]
+            if p not in rights:
+                rights[p] = [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
+            right = rights[p][group.order]
             pred = gcp_predicate(group, p)
             row = {
                 "group": name,
@@ -237,11 +236,12 @@ def reciprocity_scan(max_order: int = 10) -> dict:
     """
     groups = _groups_up_to(max_order)
     names = [str(g) for g in groups]
+    columns = [[row[0] for row in pair_count_table(g, 0, max_order, 0)] for g in groups]  # |M(g, m)|
     rows, failures = [], []
     for i, g in enumerate(groups):
-        for h, other in zip(groups[i:], names[i:]):
-            left = count_sequences(g, h.order, 0)
-            right = count_sequences(h, g.order, 0)
+        for h, other, h_column in zip(groups[i:], names[i:], columns[i:]):
+            left = columns[i][h.order]
+            right = h_column[g.order]
             row = {
                 "group": names[i],
                 "other": other,

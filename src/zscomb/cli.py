@@ -12,7 +12,8 @@ Grammar (flags live on the leaf subcommands):
 
 Exit codes: 0 success, 1 a verification report contains failures, 2 usage
 or precondition error, 3 an internal check failed (a broken invariant or an
-inexact division; the JSON names it).  Counts are emitted as decimal
+inexact division; the JSON names it), 4 stdout was closed before the output
+was written (the JSON error goes to stderr).  Counts are emitted as decimal
 strings.  `--limit` (the enumeration budget) exists on the leaves that
 enumerate; the ZSCOMB_LIMIT environment variable sets its default.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -233,7 +235,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write('{"error":"BrokenPipeError","reason":"stdout was closed early"}\n')
+        code = 4
+    sys.exit(code)
 
 
 if __name__ == "__main__":

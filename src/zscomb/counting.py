@@ -6,12 +6,16 @@ subsets are its two edges.  Each public count checks its inputs once and
 then runs the unchecked sum, `_pair_count`; :func:`pair_count_table` checks
 a whole table's inputs once and fills its rows from one binomial column per
 divisor.  :func:`exact_div` turns any non-exact division into a loud error
-as each value is a cardinality.
+as each value is a cardinality.  Every binomial is :func:`binomial`:
+``math.comb`` below a cutoff, above it a product of prime powers.  Table
+columns (and so the verifiers' rows) come from :func:`binomial_row`.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from itertools import compress
+from math import comb, gcd, isqrt
+from operator import index, mul
 
 from .errors import ExactDivisionError
 from .groups import GroupSpec, _integer, character_profile
@@ -31,13 +35,64 @@ def exact_div_row(row: list[int], den: int) -> list[int]:
     return [c // den for c in row]
 
 
+# Below this min(k, n - k), or where n > min(k, n - k)^2 / 256, math.comb is
+# faster than the prime-power product (Python 3.11, k = 500..5000, n/k = 2..32).
+_COMB_CUTOFF = 1500
+
+
+def binomial(n: int, k: int) -> int:
+    """``math.comb(n, k)``, with its errors; past the cutoff it multiplies the
+    prime powers of C(n, k) and divides no big integer."""
+    j = min(k, n - k)
+    if j < _COMB_CUTOFF or j * j < 256 * n:
+        return comb(n, k)
+    return _prime_power_binomial(index(n), index(k))
+
+
+def _prime_power_binomial(n: int, k: int) -> int:
+    """C(n, k), 0 <= k <= n, as the product of p^e over the primes p <= n, e by
+    Legendre's formula, multiplied in a balanced pairwise tree."""
+    k, r = min(k, n - k), isqrt(n)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, r + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    powers = []
+    for p in compress(range(r + 1), sieve[: r + 1]):
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        powers.append(p**e)
+    # Each prime p > sqrt(n) divides C(n, k) once if n % p < k % p, else not at
+    # all: never for n/2 < p <= n - k, always for p > n - k.
+    h = max(r, n // 2)
+    powers += [p for p in compress(range(r + 1, h + 1), sieve[r + 1 : h + 1]) if n % p < k % p]
+    powers += compress(range(n - k + 1, n + 1), sieve[n - k + 1 :])
+    while len(powers) > 1:
+        if len(powers) % 2:
+            powers.append(1)
+        powers = list(map(mul, powers[::2], powers[1::2]))
+    return powers[0] if powers else 1
+
+
+def binomial_row(n: int, top: int) -> list[int]:
+    """[C(n, j) for j <= top], n, top >= 0, by C(n, j + 1) = C(n, j)(n - j)/(j + 1)."""
+    if n < 0 or top < 0:
+        raise ValueError(f"need n, top >= 0, got {(n, top)}")
+    row = [c := 1]
+    for j in range(top):
+        row.append(c := c * (n - j) // (j + 1))
+    return row
+
+
 def multinomial(n: int, *parts: int) -> int:
     if any(p < 0 for p in parts) or sum(parts) != n:
         raise ValueError(f"bad multinomial arguments {n}; {parts}")
     out = 1
     rest = n
     for p in parts:
-        out *= comb(rest, p)
+        out *= binomial(rest, p)
         rest -= p
     return out
 
@@ -71,7 +126,7 @@ def _check_shape(a: int, b: int) -> None:
 def rational_catalan(a: int, b: int) -> int:
     """C(a+b, a) / (a+b) for coprime a, b >= 1."""
     _check_shape(a, b)
-    return exact_div(comb(a + b, a), a + b)
+    return exact_div(binomial(a + b, a), a + b)
 
 
 def pair_dimension(p: int, q: int, m: int, group: GroupSpec) -> int:
@@ -116,12 +171,13 @@ def _pair_count(group: GroupSpec, target: int, p: int, k: int) -> int:
     n = group.order
     if k > n:
         return 0
+    c = comb if p < _COMB_CUTOFF and k < _COMB_CUTOFF else binomial  # no frame per term
     total = 0
     for d, chi in character_profile(group, target):
         if p % d == 0 and k % d == 0:
             sign = -1 if (k + k // d) % 2 else 1
             nd, pd, kd = n // d, p // d, k // d
-            total += chi * sign * comb(nd + pd - 1, pd) * comb(nd, kd)
+            total += chi * sign * c(nd + pd - 1, pd) * c(nd, kd)
     return exact_div(total, n)
 
 
@@ -136,20 +192,25 @@ def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> l
     profile = character_profile(group, target)  # checks the target
     max_s = group.check_size(max_s)
     max_t = group.check_size(max_t, subset=True, capped=False)
-    n = group.order
+    n, top = group.order, min(max_t, group.order)
     columns = []
     for d, chi in profile:
-        nd, col = n // d, []
-        for k in range(0, min(max_t, n) + 1, d):
-            c = comb(nd, k // d)
-            col.append((k, -c if (k + k // d) % 2 else c))
-        columns.append((d, nd, chi, col))
+        nd = n // d
+        col = [
+            (k, -c if (k + k // d) % 2 else c)
+            for k, c in zip(range(0, top + 1, d), binomial_row(nd, top // d))
+        ]
+        factors, f = [], chi  # chi * C(nd + i - 1, i) for d * i <= max_s
+        for i in range(max_s // d + 1):
+            factors.append(f)
+            f = f * (nd + i) // (i + 1)
+        columns.append((d, factors, col))
     rows = []
     for p in range(max_s + 1):
         row = [0] * (max_t + 1)
-        for d, nd, chi, col in columns:
+        for d, factors, col in columns:
             if p % d == 0:
-                f = chi * comb(nd + p // d - 1, p // d)
+                f = factors[p // d]
                 for k, c in col:
                     row[k] += f * c
         rows.append(exact_div_row(row, n))

@@ -12,8 +12,9 @@ Every table is computed twice, and the two must agree before it is
 returned.  The closed route, :func:`counting.pair_count_table`, checks the
 target and both bounds once per table and fills each row from one binomial
 column per divisor of the closed formula.  The series route expands the sum
-above, truncated, with its own binomials and signs, so the agreement check
-compares two tables that were built separately.
+above, truncated, with its own binomials, signs and character sums (from
+`character_sum`, not the memoised profile), so the agreement check compares
+two tables that were built separately.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb
 from .brute import sequences_by_sum, subsets_by_sum
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
-from .groups import GroupSpec, character_profile
+from .groups import GroupSpec, character_sum, divisors
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,14 @@ class CoeffTable:
 
 
 def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
-    """Table by truncated expansion of the generating function."""
+    """Table by truncated expansion of the generating function, with
+    characters from `character_sum`, not the profile memo."""
     n = group.order
     acc = [[0] * (max_t + 1) for _ in range(max_s + 1)]
-    for d, chi in character_profile(group, target):
-        nd = n // d
+    for d in divisors(group.exponent):
+        chi, nd = character_sum(group, target, d), n // d
+        if not chi:
+            continue
         # (1 - (-t)^d)^(n/d): the t^(d*j) coefficient is C(n/d, j) times
         # (-1)^j from the binomial and (-1)^(d*j) from (-t)^d, so the sign
         # is (-1)^(j*(d+1)); for even d the terms alternate.

@@ -551,3 +551,27 @@ def test_invariant_check_survives_optimize_flag():
     proc = _python("-O", "-c", script)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"] == "InvariantError"
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left, so the first write to stdout fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zscomb.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zscomb.cli", "count", "subsets", "--group", "65536",
+             "--size", "32768"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "BrokenPipeError",
+        "reason": "stdout was closed early",
+    }

@@ -20,6 +20,7 @@ from zscomb import (
     sequences_by_sum,
     subsets_by_sum,
 )
+from zscomb.counting import _COMB_CUTOFF, _prime_power_binomial, binomial, binomial_row
 
 
 def groups_through(max_order):
@@ -188,3 +189,50 @@ def test_count_sequences_total_over_targets():
         for k in range(0, n + 1):
             total = sum(count_subsets(g, k, t) for t in g.elements())
             assert total == comb(n, k)
+
+
+def test_binomial_equals_math_comb():
+    cut = _COMB_CUTOFF
+    for n in [*range(0, 3000, 7), 4096, 8191, 2**15, 2**16 + 1]:
+        for k in {0, 1, cut - 1, cut, cut + 1, n - cut, n // 2, n, n + 1}:
+            if k < 0:
+                with pytest.raises(ValueError):
+                    binomial(n, k)
+            else:
+                assert binomial(n, k) == comb(n, k), (n, k)  # 0 for k > n
+    for n, k in ((-1, 0), (-5, -2), (3, -1)):
+        with pytest.raises(ValueError):
+            comb(n, k)
+        with pytest.raises(ValueError):
+            binomial(n, k)
+    with pytest.raises(TypeError):
+        binomial(4000.0, 2000)  # as math.comb: not an integer
+
+
+def test_prime_power_binomial_small_arguments():
+    # the product of prime powers, below the cutoff that keeps it off small inputs
+    for n in range(300):
+        assert [_prime_power_binomial(n, k) for k in range(n + 1)] == [comb(n, k) for k in range(n + 1)]
+
+
+def test_binomial_row():
+    for n in range(300):
+        assert binomial_row(n, n) == [comb(n, j) for j in range(n + 1)]
+    assert binomial_row(4, 6) == [1, 4, 6, 4, 1, 0, 0]
+    for n, top in ((-1, 2), (3, -1)):
+        with pytest.raises(ValueError):
+            binomial_row(n, top)
+
+
+def test_big_subset_counts_against_math_comb():
+    # Z/2^17, k = 2^16: the divisors d = 2^a of gcd(n, k), the Ramanujan sum
+    # c_d(t) = d[d | t] - (d/2)[d/2 | t], and (-1)^(k + k/d) = -1 only at d = k
+    n, k = 2**17, 2**16
+    terms = [(2**a, comb(n >> a, k >> a)) for a in range(17)]
+    for t in (0, 1, 6, 3 * 2**10, 2**16):
+        total = 0
+        for d, c in terms:
+            ramanujan = (d if t % d == 0 else 0) - (d // 2 if d > 1 and t % (d // 2) == 0 else 0)
+            total += (-1 if d == k else 1) * ramanujan * c
+        assert count_subsets(GroupSpec((n,)), k, t) == total // n
+        assert total % n == 0

@@ -19,6 +19,7 @@ from zscomb import (
     poincare_table,
     series_cross_check,
 )
+from zscomb import groups
 
 
 def groups_through(max_order):
@@ -189,3 +190,28 @@ def test_route_disagreement_is_caught(monkeypatch, route):
     with pytest.raises(InvariantError, match="^closed-form and series tables agree ") as info:
         poincare_table(GroupSpec((2, 4)), 3, 4, 4)
     assert info.value.context == {"group": "2,4", "target": 3}
+
+
+def test_profile_fault_is_caught(monkeypatch):
+    # |G| added to one profile entry leaves every closed-form cell an integer;
+    # the series route reads character_sum, so the tables disagree, also under
+    # python -O
+    real = groups._profile
+
+    def off_by_order(ns, g):
+        return tuple((d, chi + 12 if ns == (2, 6) and d == 6 else chi) for d, chi in real(ns, g))
+
+    monkeypatch.setattr(groups, "_profile", off_by_order)
+    with pytest.raises(InvariantError, match="^closed-form and series tables agree "):
+        poincare_table(GroupSpec((2, 6)), 0, 6, 6)
+
+
+def test_series_route_reads_no_profile(monkeypatch):
+    g = GroupSpec((2, 6))
+    expected = [list(row) for row in poincare_table(g, 5, 8, 8).coeffs]
+
+    def no_profile(ns, target):
+        raise AssertionError("the series route read the character profile")
+
+    monkeypatch.setattr(groups, "_profile", no_profile)
+    assert poincare._series_table(g, 5, 8, 8) == expected
