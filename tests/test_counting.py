@@ -20,7 +20,8 @@ from zscomb import (
     sequences_by_sum,
     subsets_by_sum,
 )
-from zscomb.counting import _COMB_CUTOFF, _prime_power_binomial, binomial, binomial_row
+from zscomb._prime_powers import prime_power_binomial
+from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row
 
 
 def groups_through(max_order):
@@ -212,7 +213,7 @@ def test_binomial_equals_math_comb():
 def test_prime_power_binomial_small_arguments():
     # the product of prime powers, below the cutoff that keeps it off small inputs
     for n in range(300):
-        assert [_prime_power_binomial(n, k) for k in range(n + 1)] == [comb(n, k) for k in range(n + 1)]
+        assert [prime_power_binomial(n, k) for k in range(n + 1)] == [comb(n, k) for k in range(n + 1)]
 
 
 def test_binomial_row():
