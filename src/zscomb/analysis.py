@@ -236,7 +236,8 @@ def reciprocity_scan(max_order: int = 10) -> dict:
     """
     groups = _groups_up_to(max_order)
     names = [str(g) for g in groups]
-    columns = [[row[0] for row in pair_count_table(g, 0, max_order, 0)] for g in groups]  # |M(g, m)|
+    # columns[i][m] = |M(groups[i], m)|
+    columns = [[row[0] for row in pair_count_table(g, 0, max_order, 0)] for g in groups]
     rows, failures = [], []
     for i, g in enumerate(groups):
         for h, other, h_column in zip(groups[i:], names[i:], columns[i:]):
