@@ -8,7 +8,8 @@ a whole table's inputs once and fills its rows from one binomial column per
 divisor.  :func:`exact_div` turns any non-exact division into a loud error
 as each value is a cardinality.  Every binomial is :func:`binomial`:
 ``math.comb`` below a cutoff, above it a product of prime powers.  Table
-columns (and so the verifiers' rows) come from :func:`binomial_row`.
+columns, and so the verifiers' rows, come from the recurrence of
+:func:`binomial_row`.
 """
 
 from __future__ import annotations
