@@ -20,7 +20,7 @@ from math import comb, gcd
 from .brute import enum_sequences
 from .counting import count_sequences, pair_count_table, rational_catalan
 from .errors import _check
-from .groups import GroupSpec, factorize, is_prime, normalize_group
+from .groups import GroupSpec, _integer, factorize, is_prime, normalize_group
 
 # Enumeration is only consulted when the candidate space is this small.
 ORACLE_BUDGET = 200_000
@@ -48,21 +48,21 @@ def all_abelian_groups(order: int) -> list[GroupSpec]:
     """Every abelian group of the given order, canonically normalized.
 
     Per prime power p^e in the order, a group is a multiset of cyclic factors
-    p^(lambda_i) over a partition lambda of e; structures combine freely
-    across primes.  Output sorted by invariant factors.
+    p^(lambda_i) over a partition lambda of e; distinct combinations across
+    primes are distinct groups.  Output sorted by invariant factors.
     """
     per_prime = [
         [tuple(p**part for part in lam) for lam in _partitions(e)]
         for p, e in factorize(order)
     ]
-    specs = {
-        normalize_group(tuple(chain.from_iterable(combo)))
-        for combo in product(*per_prime)
-    }
-    return sorted(specs, key=lambda g: g.invariant_factors)
+    groups = (normalize_group(chain.from_iterable(combo)) for combo in product(*per_prime))
+    return sorted(groups, key=lambda g: g.invariant_factors)
 
 
 def _groups_up_to(max_order: int) -> list[GroupSpec]:
+    max_order = _integer(max_order, "max_order")
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     return [g for o in range(1, max_order + 1) for g in all_abelian_groups(o)]
 
 
@@ -137,6 +137,12 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     return _report("subset-reci", rows, failures)
 
 
+def _prime(p) -> int:
+    if not is_prime(p := _integer(p, "p")):
+        raise ValueError(f"p must be prime, got {p}")
+    return p
+
+
 def gcp_predicate(group: GroupSpec, p: int) -> bool:
     """Whether zero-sum counts are reciprocal between the group and C_p.
 
@@ -144,21 +150,20 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
     top one; then p-multisets over G and |G|-multisets over C_p are
     equinumerous, otherwise G strictly wins.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p = _prime(p)
     below_top = group.invariant_factors[:-1]
     return all(f % p for f in below_top)
 
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
-    rows, failures, rights = [], [], {}  # rights[p][m] = |M(C_p, m)|
-    for group in _groups_up_to(max_order):
+    groups, rows, failures = _groups_up_to(max_order), [], []
+    rights = {p: [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
+              for p in map(_prime, primes)}  # rights[p][m] = |M(C_p, m)|
+    for group in groups:
         name = str(group)
         for p in primes:
             left = count_sequences(group, p, 0)
-            if p not in rights:
-                rights[p] = [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
             right = rights[p][group.order]
             pred = gcp_predicate(group, p)
             row = {

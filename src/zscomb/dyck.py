@@ -15,12 +15,11 @@ point is involved anywhere.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import index
 
 from .brute import _check_budget
 from .counting import _check_shape, rational_catalan
 from .errors import _check
-from .groups import GroupSpec
+from .groups import GroupSpec, _integers
 from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
 
 
@@ -54,10 +53,7 @@ def is_dyck(a: int, b: int, path) -> bool:
         if not path.endswith("1"):
             return False
         path = word_to_gaps(path)
-    try:
-        gaps = tuple(map(index, path))
-    except TypeError:
-        raise ValueError(f"gaps must be integers, got {path!r}") from None
+    gaps = _integers(path, "gaps")
     if len(gaps) != a:
         raise ValueError(f"gap vector must have {a} entries")
     if min(gaps, default=0) < 0:

@@ -66,6 +66,14 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints through ``__index__``; ValueError naming them if not."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 class GroupSpec:
     """A finite abelian group with a canonical invariant-factor chain.
 
@@ -77,7 +85,7 @@ class GroupSpec:
     __slots__ = ("invariant_factors", "order")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
-        fs = invariant_factors
+        fs = _integers(invariant_factors, "invariant factors")
         if any(f < 2 for f in fs):
             raise ValueError(f"invariant factors must be >= 2, got {fs}")
         for a, b in zip(fs, fs[1:]):
@@ -202,25 +210,20 @@ class GroupSpec:
 
 
 def normalize_group(factors) -> GroupSpec:
-    """Build a GroupSpec from arbitrary cyclic factors.
-
-    Repeatedly replaces a non-dividing pair (a, b) by (gcd, lcm); this keeps
-    the product fixed and terminates with the invariant-factor chain.  Factors
-    equal to 1 are dropped; the empty list gives the trivial group.
+    """Build a GroupSpec from arbitrary cyclic factors in one insertion pass:
+    each factor f walks the chain top down, leaving lcm(n_i, f) and carrying
+    gcd(n_i, f), which divides it (C_a x C_f = C_lcm x C_gcd); a carry > 1
+    ends at the bottom and a 1 falls out.  No factors give the trivial group.
     """
-    fs = sorted(f for f in factors if f != 1)
-    if any(f < 1 for f in fs):
-        raise ValueError(f"factors must be positive, got {tuple(factors)}")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                if fs[j] % fs[i]:
-                    fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
-                    changed = True
-        fs = sorted(f for f in fs if f != 1)
-    return GroupSpec(tuple(fs))
+    factors, fs = _integers(tuple(factors), "factors"), []  # fs: top factor first
+    for f in factors:
+        if f < 1:
+            raise ValueError(f"factors must be positive, got {factors}")
+        for i, a in enumerate(fs):
+            fs[i], f = lcm(a, f), gcd(a, f)
+        if f > 1:
+            fs.append(f)
+    return GroupSpec(tuple(reversed(fs)))
 
 
 def count_elements_of_order(group: GroupSpec, d: int) -> int:

@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, prod
-from operator import index
 
 from .errors import _check
-from .groups import GroupSpec
+from .groups import GroupSpec, _integers
 
 
 def check_vector(group: GroupSpec, vec) -> tuple[int, ...]:
-    try:
-        vec = tuple(map(index, vec))
-    except TypeError:
-        raise ValueError(f"multiplicities must be integers, got {vec!r}") from None
+    vec = _integers(vec, "multiplicities")
     if len(vec) != group.order:
         raise ValueError(
             f"vector length {len(vec)} does not match group order {group.order}"

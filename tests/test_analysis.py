@@ -1,6 +1,7 @@
 """Predicates, verifiers, and the group-pair scan."""
 
 import json
+from math import prod
 
 import pytest
 
@@ -17,6 +18,7 @@ from zscomb import (
     verify_gcp,
     verify_subset_reciprocity,
 )
+from zscomb.groups import factorize
 
 
 def test_v2():
@@ -42,6 +44,20 @@ def test_all_abelian_groups():
         (6, 6),
         (36,),
     ]
+
+
+def test_all_abelian_groups_distinct_sorted_and_counted():
+    # one group per choice of a partition of each prime's exponent: p(e) by
+    # the coin recurrence over part sizes, e <= 11 below 2^12
+    partitions = [1] + [0] * 11
+    for part in range(1, 12):
+        for e in range(part, 12):
+            partitions[e] += partitions[e - part]
+    for order in range(1, 2049):
+        chains = [g.invariant_factors for g in all_abelian_groups(order)]
+        assert chains == sorted(set(chains)), order
+        assert len(chains) == prod(partitions[e] for _, e in factorize(order)), order
+        assert all(prod(c) == order for c in chains), order
 
 
 def test_subset_reci_predicate():
@@ -83,6 +99,8 @@ def test_gcp_predicate():
     assert gcp_predicate(GroupSpec(()), 5) is True
     with pytest.raises(ValueError):
         gcp_predicate(GroupSpec((4,)), 6)
+    with pytest.raises(ValueError, match=r"^p must be an integer, got 2\.0$"):
+        gcp_predicate(GroupSpec((3,)), 2.0)
 
 
 def test_verify_gcp():
@@ -95,6 +113,32 @@ def test_verify_gcp():
     assert counterexample == [
         {"group": "2,2", "p": 2, "left": "4", "right": "3", "predicate": False}
     ]
+
+
+def test_verify_gcp_checks_primes_before_the_sweep():
+    for bad, reason in (
+        (0, "p must be prime, got 0"),
+        (1, "p must be prime, got 1"),
+        (-1, "p must be prime, got -1"),
+        (4, "p must be prime, got 4"),
+        (2.0, "p must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            verify_gcp(4, (2, bad))
+        assert str(err.value) == reason
+
+
+def test_sweeps_check_their_bound_first():
+    for sweep in (verify_subset_reciprocity, verify_gcp, reciprocity_scan):
+        for bad, reason in (
+            (0, "max_order must be >= 1, got 0"),
+            (-3, "max_order must be >= 1, got -3"),
+            (4.5, "max_order must be an integer, got 4.5"),
+        ):
+            with pytest.raises(ValueError) as err:
+                sweep(bad)
+            assert str(err.value) == reason, sweep
+    assert verify_gcp(1, (2,))["scanned"] == 1  # the trivial group alone
 
 
 def test_cnr_known_value():

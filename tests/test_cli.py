@@ -383,6 +383,15 @@ def test_precondition_error_exit_2(capsys):
     code, out = invoke(capsys, "verify", "cnr", "--n", "4", "--m", "2", "--r", "2")
     assert code == 2
     assert "gcd" in json.loads(out)["reason"]
+    # a sweep's bound and primes are checked before it runs
+    for argv, reason in (
+        ("verify subset-reci --max-order -3", "max_order must be >= 1, got -3"),
+        ("scan reciprocity --max-order -1", "max_order must be >= 1, got -1"),
+        ("verify gcp --max-order 0 --primes 4", "max_order must be >= 1, got 0"),
+        ("verify gcp --max-order 1 --primes 2,0", "p must be prime, got 0"),
+    ):
+        code, out = invoke(capsys, *shlex.split(argv))
+        assert (code, json.loads(out)) == (2, {"error": "ValueError", "reason": reason}), argv
 
 
 def test_limit_flag_exit_2(capsys):

@@ -4,7 +4,7 @@ import pickle
 from copy import deepcopy
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zscomb import (
@@ -91,6 +91,58 @@ def test_normalize_group():
     assert normalize_group((2, 4, 3)).invariant_factors == (2, 12)
     assert normalize_group((1, 1)).invariant_factors == ()
     assert normalize_group((6, 4)).invariant_factors == (2, 12)
+
+
+def _chain_by_primes(factors):
+    """Invariant factors of C_f1 x ... x C_fk from the primary decomposition:
+    each prime's exponents, largest first, go into n_r, n_(r-1), ...."""
+    exponents = {}
+    for f in factors:
+        for p, e in factorize(f):
+            exponents.setdefault(p, []).append(e)
+    top_down = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            top_down[i] *= p**e
+    return tuple(reversed(top_down))
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from((1, 2, 4, 6, 9, 12, 36, 60, 210)), st.integers(1, 10**6)),
+        max_size=8,
+    )
+)
+@example([])
+@example([1, 1, 1])
+@example([4, 4, 2, 2, 8])
+@example([6, 10, 15])
+@example([12, 18, 1, 12])
+def test_normalize_group_matches_primary_decomposition(factors):
+    assert normalize_group(factors).invariant_factors == _chain_by_primes(factors)
+
+
+def test_non_integer_factors_rejected():
+    # the message names the factors as given, even when they come from a generator
+    calls = (
+        (lambda: GroupSpec((2.5,)), "invariant factors must be integers, got (2.5,)"),
+        (lambda: GroupSpec((2, 4.0)), "invariant factors must be integers, got (2, 4.0)"),
+        (lambda: normalize_group((4.0,)), "factors must be integers, got (4.0,)"),
+        (lambda: normalize_group(f for f in (3, 0.5)), "factors must be integers, got (3, 0.5)"),
+        (lambda: normalize_group(f for f in (3, 0)), "factors must be positive, got (3, 0)"),
+        (lambda: normalize_group((3, -2)), "factors must be positive, got (3, -2)"),
+    )
+    for call, reason in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == reason
+    # anything with __index__ is an integer, and comes back as an int
+    class Two:
+        def __index__(self):
+            return 2
+
+    for g in (GroupSpec((Two(), 4)), normalize_group((True, 4, Two()))):
+        assert g.invariant_factors == (2, 4) and all(type(f) is int for f in g.invariant_factors)
 
 
 def test_trivial_group():
