@@ -31,9 +31,8 @@ _HOME = {
         ("necklaces", "canonical_rotation complement_bijection necklace_to_sequence pair_bijection"
          " reciprocity_bijection sequence_to_necklace translate_complement_bijection"),
         ("poincare", "CoeffTable poincare_table series_cross_check"),
-        ("zerosum", "cyclic_shift digit_totals is_zero_sum is_zero_sum_by_congruences"
-         " rotations_with_sum sequence_sum target_sum_shift translate weighted_label_sum"
-         " zero_sum_shift"),
+        ("zerosum", "cyclic_shift is_zero_sum is_zero_sum_by_congruences rotations_with_sum"
+         " sequence_sum target_sum_shift translate zero_sum_shift"),
     )
     for name in names.split()
 }

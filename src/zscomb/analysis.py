@@ -28,6 +28,8 @@ ORACLE_BUDGET = 200_000
 
 def v2(m: int) -> int:
     """2-adic valuation: the largest t with 2^t dividing m; m >= 1."""
+    if type(m) is not int:
+        m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"v2 needs m >= 1, got {m}")
     return (m & -m).bit_length() - 1
@@ -77,6 +79,8 @@ def subset_reci_predicate(group: GroupSpec, k: int) -> bool:
     even, or v2(k) < v2(n_r).  For even-order groups failing the first two
     conditions the counts genuinely differ whenever v2(k) >= v2(n_r).
     """
+    if type(k) is not int:
+        k = _integer(k, "k")
     n = group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= {n - 1}, got {k}")
@@ -189,6 +193,7 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
     re-derived by enumeration when the candidate space is small, and, in the
     coprime case, compared with the rational Catalan number.
     """
+    n, m, r = _integer(n, "n"), _integer(m, "m"), _integer(r, "r")
     if n < 1 or m < 1 or r < 1:
         raise ValueError(f"need n, m, r >= 1, got {(n, m, r)}")
     if gcd(n, m**r) != gcd(n**r, m):
@@ -200,8 +205,7 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
         (normalize_group((n,) * r), m**r),
         (normalize_group((m,) * r), n**r),
     )
-    counts, oracle_checked = [], []
-    failures = []
+    counts, oracle_checked, failures = [], [], []
     for group, size in sides:
         count = count_sequences(group, size, 0)
         if comb(group.order + size - 1, size) <= ORACLE_BUDGET:

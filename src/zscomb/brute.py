@@ -17,7 +17,7 @@ from math import comb
 from operator import eq, mod
 
 from .errors import EnumerationLimitError
-from .groups import GroupSpec
+from .groups import GroupSpec, _integer
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -35,9 +35,9 @@ def default_limit() -> int:
 
 
 def _check_budget(candidates: int, limit: int | None) -> None:
-    if limit is not None and limit < 0:
-        raise ValueError(f"the budget must be >= 0, got {limit}")
-    cap = default_limit() if limit is None else limit
+    cap = default_limit() if limit is None else _integer(limit, "the budget")
+    if cap < 0:
+        raise ValueError(f"the budget must be >= 0, got {cap}")
     if candidates > cap:
         raise EnumerationLimitError(candidates, cap)
 

@@ -2,8 +2,9 @@
 
 One divisor sum over the target's memoised character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
-subsets are its two edges.  Each public count checks its inputs once and
-then runs the unchecked sum, `_pair_count`; :func:`pair_count_table` checks
+subsets are its two edges.  Each public count checks its inputs once (the
+target by reading its profile) and then runs the unchecked sum,
+`_pair_count`; :func:`pair_count_table` checks
 a whole table's inputs once and fills its rows from one binomial column per
 divisor.  :func:`exact_div` turns any non-exact division into a loud error
 as each value is a cardinality.  Every binomial is :func:`binomial`:
@@ -18,7 +19,7 @@ from math import comb, gcd
 from operator import index
 
 from .errors import ExactDivisionError
-from .groups import GroupSpec, _integer, character_profile
+from .groups import GroupSpec, _integer, _integers, character_profile
 
 
 def exact_div(num: int, den: int) -> int:
@@ -61,6 +62,7 @@ def binomial_row(n: int, top: int) -> list[int]:
 
 
 def multinomial(n: int, *parts: int) -> int:
+    n, parts = _integer(n, "n"), _integers(parts, "parts")
     if any(p < 0 for p in parts) or sum(parts) != n:
         raise ValueError(f"bad multinomial arguments {n}; {parts}")
     out = 1
@@ -74,17 +76,15 @@ def multinomial(n: int, *parts: int) -> int:
 def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
     """Number of k-element subsets summing to target: the pair count's edge
     ``count_pairs_coefficient(group, target, 0, k)``."""
-    group.check_label(target)
-    group.check_size(k, subset=True)
-    return _pair_count(group, target, 0, k)
+    profile = character_profile(group, target)
+    return _pair_count(group, profile, 0, group.check_size(k, subset=True))
 
 
 def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     """Number of length-m multisets summing to target: the pair count's edge
     ``count_pairs_coefficient(group, target, m, 0)``."""
-    group.check_label(target)
-    group.check_size(m)
-    return _pair_count(group, target, m, 0)
+    profile = character_profile(group, target)
+    return _pair_count(group, profile, group.check_size(m), 0)
 
 
 def _check_shape(a: int, b: int) -> None:
@@ -134,20 +134,19 @@ def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> in
         * C(n/d + p/d - 1, p/d) * C(n/d, k/d),
     and is 0 for k > n.  Its k = 0 and p = 0 edges are count_sequences and count_subsets.
     """
-    group.check_label(target)
-    group.check_size(p)
-    group.check_size(k, subset=True, capped=False)
-    return _pair_count(group, target, p, k)
+    profile = character_profile(group, target)
+    p, k = group.check_size(p), group.check_size(k, subset=True, capped=False)
+    return _pair_count(group, profile, p, k)
 
 
-def _pair_count(group: GroupSpec, target: int, p: int, k: int) -> int:
-    """:func:`count_pairs_coefficient` on inputs its callers have checked."""
+def _pair_count(group: GroupSpec, profile, p: int, k: int) -> int:
+    """:func:`count_pairs_coefficient` over a target's profile, on checked sizes."""
     n = group.order
     if k > n:
         return 0
     c = comb if p < _COMB_CUTOFF and k < _COMB_CUTOFF else binomial  # no frame per term
     total = 0
-    for d, chi in character_profile(group, target):
+    for d, chi in profile:
         if p % d == 0 and k % d == 0:
             sign = -1 if (k + k // d) % 2 else 1
             nd, pd, kd = n // d, p // d, k // d

@@ -25,7 +25,7 @@ from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
 
 def gaps_to_word(gaps) -> str:
     """Step word of a gap vector: x_i north steps, then one east step, per column."""
-    return "".join("0" * x + "1" for x in gaps)
+    return "".join("0" * x + "1" for x in _integers(gaps, "gaps"))
 
 
 def word_to_gaps(word: str) -> tuple[int, ...]:

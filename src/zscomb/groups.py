@@ -18,6 +18,7 @@ from operator import index
 @cache
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) by trial division."""
+    n = _integer(n, "n")  # runs on misses; 6.0 never hits the int key 6
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
@@ -54,12 +55,14 @@ def mobius(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    if type(n) is not int:
+        n = _integer(n, "n")
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def _integer(value, what: str) -> int:
-    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; the
-    checks below call it only off the plain-int fast path."""
+    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; each
+    entry point calls it once, per-row checks only off the plain-int path."""
     try:
         return index(value)
     except TypeError:
@@ -173,7 +176,7 @@ class GroupSpec:
 
     def label(self, coords) -> int:
         """Inverse of :meth:`coords`."""
-        coords = tuple(coords)
+        coords = _integers(coords, "coordinates")
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         out = 0
@@ -198,6 +201,7 @@ class GroupSpec:
         return self.add(g, self.negate(h))
 
     def scalar_mul(self, c: int, g: int) -> int:
+        c = _integer(c, "c")
         return self.label(
             (c * a) % n for a, n in zip(self.coords(g), self.invariant_factors)
         )
@@ -245,16 +249,18 @@ def character_profile(group: GroupSpec, g: int) -> tuple[tuple[int, int], ...]:
 def _profile(ns: tuple[int, ...], g: int) -> tuple[tuple[int, int], ...]:
     # F(l) of character_sum for every l | exponent, then Moebius inversion one
     # prime at a time: O(tau * omega) steps, where a sum per d takes O(tau^2).
-    group = GroupSpec(ns)
-    coords, ds = group.coords(g), divisors(group.exponent)
-    f = {}
+    coords, exponent = [], ns[-1] if ns else 1
+    for n_i in ns:
+        g, a_i = divmod(g, n_i)
+        coords.append(a_i)
+    ds, f = divisors(exponent), {}
     for l in ds:
         term = 1
         for a_i, n_i in zip(coords, ns):
             gl = gcd(n_i, l)
             term = 0 if a_i % gl else term * gl
         f[l] = term
-    for p, _ in factorize(group.exponent):
+    for p, _ in factorize(exponent):
         for d in reversed(ds):
             if d % p == 0:
                 f[d] -= f[d // p]
@@ -270,6 +276,7 @@ def character_sum(group: GroupSpec, g: int, d: int) -> int:
     The result is an integer, possibly negative, and 0 when d does not divide
     the group exponent.
     """
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
     coords = group.coords(g)

@@ -17,10 +17,12 @@ shift, so each runs in time linear in |G| + mass.
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 from .errors import _check
 from .groups import GroupSpec, factorize
 from .zerosum import (
+    _sum_coord,
     _zero_sum_input,
     check_indicator,
     check_vector,
@@ -195,7 +197,8 @@ def pair_bijection(
         raise ValueError(
             f"need gcd(p, q+m) = gcd(q, p+m) = 1, got (p, q, m) = {(p, q, m)}"
         )
-    if group.add(sequence_sum(group, seq_vec), sequence_sum(group, subset_bits)) != 0:
+    both = tuple(map(add, seq_vec, subset_bits))  # the multiset A + B
+    if any(_sum_coord(group, both, axis) for axis in range(group.rank)):
         raise ValueError("pair does not sum to the identity")
 
     _, pinned = zero_sum_shift(group, seq_vec)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .brute import sequences_by_sum, subsets_by_sum
+from .brute import _check_budget, sequences_by_sum, subsets_by_sum
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
 from .groups import GroupSpec, character_sum, divisors
@@ -98,13 +98,16 @@ def series_cross_check(
     """Compare a table against brute-force pair counts, entry by entry.
 
     The oracle side enumerates all multisets and subsets once per size,
-    histograms them by group sum, and convolves the histograms.  Returns a
-    report dict with any mismatching entries.
+    histograms them by group sum, and convolves the histograms.  The whole
+    job, every histogram's candidates, is charged to the budget before the
+    first one is built.  Returns a report dict with any mismatching entries.
     """
     table = poincare_table(group, target, max_s, max_t)
-    n = group.order
+    n, top = group.order, min(max_t, group.order)
+    # sum over p <= max_s of C(n + p - 1, p) multisets is C(n + max_s, max_s)
+    _check_budget(comb(n + max_s, max_s) + sum(comb(n, k) for k in range(top + 1)), limit)
     seq_hists = [sequences_by_sum(group, p, limit) for p in range(max_s + 1)]
-    sub_hists = [subsets_by_sum(group, k, limit) for k in range(min(max_t, n) + 1)]
+    sub_hists = [subsets_by_sum(group, k, limit) for k in range(top + 1)]
     failures = []
     for p in range(max_s + 1):
         for k in range(max_t + 1):
@@ -128,9 +131,4 @@ def series_cross_check(
         "entries": (max_s + 1) * (max_t + 1),
         "ok": not failures,
     }
-    return {
-        "theorem": "series",
-        "scanned": row["entries"],
-        "failures": failures,
-        "rows": [row],
-    }
+    return {"theorem": "series", "scanned": row["entries"], "failures": failures, "rows": [row]}

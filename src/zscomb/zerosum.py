@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd, prod
 
 from .errors import _check
-from .groups import GroupSpec, _integers
+from .groups import GroupSpec, _integer, _integers
 
 
 def check_vector(group: GroupSpec, vec) -> tuple[int, ...]:
@@ -57,31 +57,23 @@ def _zero_sum_input(group: GroupSpec, vec, subset: bool = False) -> tuple[tuple[
     return vec, sum(vec)
 
 
-def digit_totals(group: GroupSpec, vec, axis: int) -> tuple[int, ...]:
-    """Total multiplicity per value of the axis-th mixed-radix digit."""
-    vec = check_vector(group, vec)
-    n_t = group.invariant_factors[axis]
-    unit = prod(group.invariant_factors[:axis])
-    totals = [0] * n_t
-    for lab, mult in enumerate(vec):
-        if mult:
-            totals[(lab // unit) % n_t] += mult
-    return tuple(totals)
-
-
 def is_zero_sum_by_congruences(group: GroupSpec, vec) -> bool:
     """Zero-sum test through one weighted congruence per invariant factor.
 
     The multiset sums to the identity iff for every axis t the digit totals
-    A_t(k) satisfy sum_k k*A_t(k) = 0 (mod n_t).  This is a deliberately
-    separate code path from :func:`sequence_sum`; the test suite checks that
-    the two always agree.
+    A_t(k) (total multiplicity of the labels whose t-th digit is k) satisfy
+    sum_k k*A_t(k) = 0 (mod n_t).  This is a deliberately separate code path
+    from :func:`sequence_sum`; the test suite checks that the two always agree.
     """
-    vec = check_vector(group, vec)
-    for axis, n_t in enumerate(group.invariant_factors):
-        totals = digit_totals(group, vec, axis)
+    vec, unit = check_vector(group, vec), 1
+    for n_t in group.invariant_factors:
+        totals = [0] * n_t
+        for lab, mult in enumerate(vec):
+            if mult:
+                totals[lab // unit % n_t] += mult
         if sum(k * a for k, a in enumerate(totals)) % n_t:
             return False
+        unit *= n_t
     return True
 
 
@@ -95,7 +87,7 @@ def _sum_coord(group: GroupSpec, vec: tuple[int, ...], axis: int) -> int:
 
 def cyclic_shift(vec, l: int):
     """Rotate a vector left by l positions (entry at index i+l moves to i)."""
-    vec = tuple(vec)
+    vec, l = tuple(vec), _integer(l, "l")
     if not vec:
         return vec
     l %= len(vec)
@@ -125,11 +117,6 @@ def translate(group: GroupSpec, vec, g: int):
             )
         unit = block
     return out
-
-
-def weighted_label_sum(vec) -> int:
-    """sum_i i * vec[i]; mod n it is the sum's label over a cyclic group."""
-    return sum(i * x for i, x in enumerate(vec))
 
 
 def zero_sum_shift(group: GroupSpec, vec) -> tuple[int, tuple[int, ...]]:

@@ -413,6 +413,22 @@ def test_limit_flag_exit_2(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, candidates, limit",
+    [
+        # 84 multisets of sizes 0..3 and 42 subsets of sizes 0..3 over C_6
+        ("poincare check --group 6 --max-s 3 --max-t 3 --limit 100", "126", "100"),
+        # 58905 multisets and 41449 subsets, not one histogram's 52360
+        ("verify series --group 2,4,4 --max-s 4 --max-t 4 --limit 50000", "100354", "50000"),
+    ],
+)
+def test_series_leaves_charge_every_histogram(capsys, argv, candidates, limit):
+    code, out = invoke(capsys, *argv.split())
+    payload = json.loads(out)
+    assert code == 2 and payload["error"] == "EnumerationLimitError"
+    assert (payload["candidates"], payload["limit"]) == (candidates, limit)
+
+
 def test_bad_limit_variable_exit_2(capsys, monkeypatch):
     for bad in ("-1", "x"):
         monkeypatch.setenv("ZSCOMB_LIMIT", bad)

@@ -20,6 +20,7 @@ from zscomb import (
     sequences_by_sum,
     subsets_by_sum,
 )
+from zscomb import groups
 from zscomb._prime_powers import prime_power_binomial
 from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row
 
@@ -237,3 +238,22 @@ def test_big_subset_counts_against_math_comb():
             total += (-1 if d == k else 1) * ramanujan * c
         assert count_subsets(GroupSpec((n,)), k, t) == total // n
         assert total % n == 0
+
+
+def test_a_count_checks_its_target_once(monkeypatch):
+    g, calls, real = GroupSpec((2, 12)), [], GroupSpec.check_label
+
+    def counted(self, label):
+        calls.append(label)
+        return real(self, label)
+
+    monkeypatch.setattr(GroupSpec, "check_label", counted)
+    for count in (
+        lambda: count_sequences(g, 5, 3),
+        lambda: count_subsets(g, 6, 3),
+        lambda: count_pairs_coefficient(g, 3, 2, 2),
+    ):
+        groups._profile.cache_clear()  # a profile built afresh checks nothing again
+        calls.clear()
+        count()
+        assert calls == [3]

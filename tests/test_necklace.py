@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from zscomb import (
     GroupSpec,
@@ -258,6 +260,27 @@ def test_pair_bijection_m0_degenerates_to_reciprocity():
     u, v = pair_bijection(g7, g5, vec, (0,) * 7)
     assert v == (0,) * 5
     assert u == reciprocity_bijection(g7, g5, vec)
+
+
+def _assert_m0_pair_map_is_reciprocity(g, h, rng):
+    vec = [0] * g.order
+    for _ in range(h.order):
+        vec[rng.randrange(g.order)] += 1
+    _, vec = zero_sum_shift(g, vec)
+    u, v = pair_bijection(g, h, vec, (0,) * g.order)
+    assert u == reciprocity_bijection(g, h, vec) and v == (0,) * h.order
+
+
+@given(st.sampled_from(groups_through(1, 36)), st.sampled_from(groups_through(1, 36)), st.randoms())
+def test_reciprocity_is_the_m0_pair_map(g, h, rng):
+    # the two-colour necklace is the three-colour one without green beads
+    assume(gcd(g.order, h.order) == 1)
+    _assert_m0_pair_map_is_reciprocity(g, h, rng)
+
+
+@pytest.mark.parametrize("g, h", [((301,), (2, 500)), ((2, 1500), (1001,)), ((3001,), (1000,))])
+def test_reciprocity_is_the_m0_pair_map_at_scale(g, h):
+    _assert_m0_pair_map_is_reciprocity(GroupSpec(g), GroupSpec(h), random.Random(2019))
 
 
 def test_pair_bijection_exhaustive():

@@ -11,7 +11,6 @@ from zscomb import (
     GroupSpec,
     complement_bijection,
     cyclic_shift,
-    digit_totals,
     is_zero_sum,
     is_zero_sum_by_congruences,
     normalize_group,
@@ -24,7 +23,6 @@ from zscomb import (
     target_sum_shift,
     translate,
     translate_complement_bijection,
-    weighted_label_sum,
     zero_sum_shift,
 )
 
@@ -98,19 +96,6 @@ def test_cyclic_shift_is_left_rotation():
     assert cyclic_shift((1, 2, 3, 4), 1) == (2, 3, 4, 1)
     assert cyclic_shift((1, 2, 3, 4), 0) == (1, 2, 3, 4)
     assert cyclic_shift((1, 2, 3, 4), 6) == (3, 4, 1, 2)
-
-
-def test_digit_totals():
-    g = GroupSpec((2, 4))
-    vec = tuple(range(8))  # multiplicity = label, for a recognizable pattern
-    t0 = digit_totals(g, vec, 0)
-    t1 = digit_totals(g, vec, 1)
-    assert t0 == (0 + 2 + 4 + 6, 1 + 3 + 5 + 7)
-    assert t1 == (0 + 1, 2 + 3, 4 + 5, 6 + 7)
-
-
-def test_weighted_label_sum():
-    assert weighted_label_sum((1, 0, 2, 0, 0, 1, 1)) == 0 + 4 + 5 + 6
 
 
 @pytest.mark.parametrize(
