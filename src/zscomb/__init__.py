@@ -19,13 +19,12 @@ _HOME = {
     for module, names in (
         ("analysis", "all_abelian_groups cnr_reciprocity_check gcp_predicate reciprocity_scan"
          " subset_reci_predicate sum_all_elements_is_zero v2 verify_gcp verify_subset_reciprocity"),
-        ("brute", "default_limit enum_pairs enum_sequences enum_subsets sequences_by_sum"
-         " subsets_by_sum"),
+        ("brute", "enum_pairs enum_sequences enum_subsets sequences_by_sum subsets_by_sum"),
         ("counting", "count_pairs_coefficient count_sequences count_subsets exact_div exact_div_row"
          " multinomial pair_count_table pair_dimension rational_catalan"),
         ("dyck", "dyck_to_sequence dyck_to_subset enum_dyck gaps_to_word is_dyck sequence_to_dyck"
          " subset_to_dyck word_to_gaps"),
-        ("errors", "EnumerationLimitError ExactDivisionError InvariantError"),
+        ("errors", "EnumerationLimitError ExactDivisionError InvariantError default_limit"),
         ("groups", "GroupSpec character_sum count_elements_of_order divisors factorize is_prime"
          " mobius normalize_group"),
         ("necklaces", "canonical_rotation complement_bijection necklace_to_sequence pair_bijection"

@@ -209,7 +209,7 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
     for group, size in sides:
         count = count_sequences(group, size, 0)
         if comb(group.order + size - 1, size) <= ORACLE_BUDGET:
-            oracle = len(enum_sequences(group, size, 0))
+            oracle = len(enum_sequences(group, size, 0, limit=ORACLE_BUDGET))
             oracle_checked.append(str(group))
             if oracle != count:
                 failures.append(

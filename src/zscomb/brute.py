@@ -4,42 +4,18 @@ Everything here recounts by exhaustion what the closed formulas claim, so it
 is deliberately simple: iterate over candidate multisets or subsets in a
 fixed order, add up their packed mixed-radix digits, and filter.  Setup is
 O(|G| * rank), so a call costs about as much as the candidates it visits.
-Candidate budgets guard against accidental blowups; the default admits about
-ten million candidates per call.
+Candidate budgets (`errors.py`) guard against accidental blowups.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb
 from operator import eq, mod
 
-from .errors import EnumerationLimitError
-from .groups import GroupSpec, _integer
-
-DEFAULT_LIMIT = 10_000_000
-
-
-def default_limit() -> int:
-    """Candidate budget; override with the ZSCOMB_LIMIT environment variable."""
-    raw = os.environ.get("ZSCOMB_LIMIT")
-    try:
-        limit = int(raw) if raw else DEFAULT_LIMIT
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"ZSCOMB_LIMIT must be an integer >= 0, got {raw!r}")
-    return limit
-
-
-def _check_budget(candidates: int, limit: int | None) -> None:
-    cap = default_limit() if limit is None else _integer(limit, "the budget")
-    if cap < 0:
-        raise ValueError(f"the budget must be >= 0, got {cap}")
-    if candidates > cap:
-        raise EnumerationLimitError(candidates, cap)
+from .errors import _check_budget
+from .groups import GroupSpec
 
 
 class _Packing(dict):
@@ -113,19 +89,16 @@ def enum_pairs(
     """
     group.check_label(target)
     n = group.order
-    group.check_size(p)
-    group.check_size(k, subset=True)
-    _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
+    p, k = group.check_size(p), group.check_size(k, subset=True)
+    limit = _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
     by_sum: dict[int, list] = {}
     for labels, t in zip(*_candidates(group, k, True, limit)):
         by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
-    # a multiset of sum s pairs with the subsets of sum target - s
-    partners: dict[int, list] = {}
+    # the subsets of sum t pair with the multisets of sum target - t
+    partners = {group.sub(target, t): subsets for t, subsets in by_sum.items()}
     out = []
     for labels, s in zip(*_candidates(group, p, False, limit)):
-        if s not in partners:
-            partners[s] = by_sum.get(group.sub(target, s), [])
-        out += zip(repeat(_to_multiplicity(n, labels)), partners[s])
+        out += zip(repeat(_to_multiplicity(n, labels)), partners.get(s, ()))
     return out
 
 

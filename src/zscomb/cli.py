@@ -26,7 +26,7 @@ import os
 import sys
 from importlib import import_module
 
-from .errors import EnumerationLimitError, ExactDivisionError, InvariantError
+from .errors import EnumerationLimitError, ExactDivisionError, InvariantError, _check_budget
 from .groups import GroupSpec
 
 
@@ -54,14 +54,7 @@ def _reasoned(parse):
 
 _vec = _reasoned(lambda text: tuple(int(part) for part in text.split(",")))
 _group = _reasoned(GroupSpec.parse)
-
-
-@_reasoned
-def _budget(text: str) -> int:
-    limit = int(text)
-    if limit < 0:
-        raise ValueError(f"the budget must be >= 0, got {limit}")
-    return limit
+_limit = _reasoned(lambda text: _check_budget(0, int(text)))
 
 
 # A flag is (name, type, default, help); REQUIRED as the default makes it required.
@@ -82,7 +75,7 @@ def _bounds(default=REQUIRED):
 GROUP = ("--group", _group, REQUIRED, "invariant factors, e.g. 2,2,4 (empty or 1 = trivial)")
 OTHER = ("--other", _group, REQUIRED, "other group's invariant factors")
 TARGET = _int("--target", "target element label (default 0)", 0)
-LIMIT = ("--limit", _budget, None, "enumeration budget (default: ZSCOMB_LIMIT or 10^7 candidates)")
+LIMIT = ("--limit", _limit, None, "enumeration budget (default: ZSCOMB_LIMIT or 10^7 candidates)")
 LENGTH = _int("--length", "multiset size")
 SIZE = _int("--size", "subset size")
 A_B = (_int("--a"), _int("--b"))

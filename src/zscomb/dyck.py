@@ -16,16 +16,21 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .brute import _check_budget
 from .counting import _check_shape, rational_catalan
-from .errors import _check
+from .errors import _check, _check_budget
 from .groups import GroupSpec, _integers
 from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
 
 
+def _gaps(gaps):
+    if min(gaps := _integers(gaps, "gaps"), default=0) < 0:
+        raise ValueError(f"gaps must be >= 0, got {gaps}")
+    return gaps
+
+
 def gaps_to_word(gaps) -> str:
     """Step word of a gap vector: x_i north steps, then one east step, per column."""
-    return "".join("0" * x + "1" for x in _integers(gaps, "gaps"))
+    return "".join("0" * x + "1" for x in _gaps(gaps))
 
 
 def word_to_gaps(word: str) -> tuple[int, ...]:
@@ -53,11 +58,8 @@ def is_dyck(a: int, b: int, path) -> bool:
         if not path.endswith("1"):
             return False
         path = word_to_gaps(path)
-    gaps = _integers(path, "gaps")
-    if len(gaps) != a:
+    if len(gaps := _gaps(path)) != a:
         raise ValueError(f"gap vector must have {a} entries")
-    if min(gaps, default=0) < 0:
-        raise ValueError(f"gaps must be >= 0, got {gaps}")
     if sum(gaps) != b:
         raise ValueError(f"gaps must total {b}, got {sum(gaps)}")
     heights = list(accumulate(gaps))

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget."""
+
+import os
+
+from .groups import _integer
+
+DEFAULT_LIMIT = 10_000_000
 
 
 class ExactDivisionError(ArithmeticError):
@@ -19,6 +25,25 @@ class EnumerationLimitError(RuntimeError):
 
     def __str__(self) -> str:
         return f"{self.candidates} candidates exceed the enumeration limit {self.limit}"
+
+
+def default_limit() -> int:
+    """Candidate budget; override with the ZSCOMB_LIMIT environment variable."""
+    raw = os.environ.get("ZSCOMB_LIMIT")
+    try:
+        return _check_budget(0, int(raw) if raw else DEFAULT_LIMIT)
+    except ValueError:
+        raise ValueError(f"ZSCOMB_LIMIT must be an integer >= 0, got {raw!r}") from None
+
+
+def _check_budget(candidates: int, limit: int | None) -> int:
+    """Charge candidates to the budget limit (default_limit() if None); return it."""
+    cap = default_limit() if limit is None else _integer(limit, "the budget")
+    if cap < 0:
+        raise ValueError(f"the budget must be >= 0, got {cap}")
+    if candidates > cap:
+        raise EnumerationLimitError(candidates, cap)
+    return cap
 
 
 class InvariantError(RuntimeError):

@@ -71,6 +71,8 @@ def _integer(value, what: str) -> int:
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """values as a tuple of ints through ``__index__``; ValueError naming them if not."""
+    if iter(values) is values:
+        values = tuple(values)
     try:
         return tuple(map(index, values))
     except TypeError:
@@ -219,7 +221,7 @@ def normalize_group(factors) -> GroupSpec:
     gcd(n_i, f), which divides it (C_a x C_f = C_lcm x C_gcd); a carry > 1
     ends at the bottom and a 1 falls out.  No factors give the trivial group.
     """
-    factors, fs = _integers(tuple(factors), "factors"), []  # fs: top factor first
+    factors, fs = _integers(factors, "factors"), []  # fs: top factor first
     for f in factors:
         if f < 1:
             raise ValueError(f"factors must be positive, got {factors}")

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .brute import _check_budget, sequences_by_sum, subsets_by_sum
+from .brute import sequences_by_sum, subsets_by_sum
 from .counting import exact_div_row, pair_count_table
-from .errors import _check
+from .errors import _check, _check_budget
 from .groups import GroupSpec, character_sum, divisors
 
 
@@ -105,19 +105,14 @@ def series_cross_check(
     table = poincare_table(group, target, max_s, max_t)
     n, top = group.order, min(max_t, group.order)
     # sum over p <= max_s of C(n + p - 1, p) multisets is C(n + max_s, max_s)
-    _check_budget(comb(n + max_s, max_s) + sum(comb(n, k) for k in range(top + 1)), limit)
+    limit = _check_budget(comb(n + max_s, max_s) + sum(comb(n, k) for k in range(top + 1)), limit)
     seq_hists = [sequences_by_sum(group, p, limit) for p in range(max_s + 1)]
-    sub_hists = [subsets_by_sum(group, k, limit) for k in range(top + 1)]
+    sub_hists = [subsets_by_sum(group, k, limit) if k <= n else {} for k in range(max_t + 1)]
     failures = []
     for p in range(max_s + 1):
+        partners = [(group.sub(target, s), count) for s, count in seq_hists[p].items()]
         for k in range(max_t + 1):
-            if k <= n:
-                oracle = sum(
-                    count * sub_hists[k][group.sub(target, s)]
-                    for s, count in seq_hists[p].items()
-                )
-            else:
-                oracle = 0
+            oracle = sum(count * sub_hists[k].get(t, 0) for t, count in partners)
             if oracle != table.entry(p, k):
                 failures.append(
                     {"p": p, "k": k,

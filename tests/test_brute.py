@@ -1,5 +1,6 @@
 """The enumeration oracles themselves: shapes, order, budgets."""
 
+import os
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -10,10 +11,12 @@ import pytest
 from zscomb import (
     EnumerationLimitError,
     GroupSpec,
+    cnr_reciprocity_check,
     count_pairs_coefficient,
     count_sequences,
     count_subsets,
     default_limit,
+    enum_dyck,
     enum_pairs,
     enum_sequences,
     enum_subsets,
@@ -24,6 +27,7 @@ from zscomb import (
     subsets_by_sum,
     target_sum_shift,
 )
+from zscomb.poincare import series_cross_check
 
 
 def test_enum_sequences_example():
@@ -114,6 +118,50 @@ def test_limit_env_override(monkeypatch):
             default_limit()
     monkeypatch.delenv("ZSCOMB_LIMIT")
     assert default_limit() == 10_000_000
+
+
+class _Environ(dict):
+    """An os.environ stand-in that counts the reads of ZSCOMB_LIMIT."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "ZSCOMB_LIMIT"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "ZSCOMB_LIMIT"
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += key == "ZSCOMB_LIMIT"
+        return super().__contains__(key)
+
+
+G24 = GroupSpec((2, 4))
+
+# (call, ZSCOMB_LIMIT reads): a call charges its whole job once; cnr's
+# oracles (220 and 495 candidates here) run under its own fixed gate.
+READS = {
+    "enum_sequences": (lambda: enum_sequences(G24, 3), 1),
+    "enum_subsets": (lambda: enum_subsets(G24, 3), 1),
+    "sequences_by_sum": (lambda: sequences_by_sum(G24, 3), 1),
+    "subsets_by_sum": (lambda: subsets_by_sum(G24, 3), 1),
+    "enum_pairs": (lambda: enum_pairs(G24, 2, 3, 5), 1),
+    "enum_dyck": (lambda: enum_dyck(5, 3), 1),
+    "series_cross_check": (lambda: series_cross_check(G24, 0, 4, 4), 1),
+    "cnr_reciprocity_check": (lambda: cnr_reciprocity_check(2, 3, 2), 0),
+}
+
+
+@pytest.mark.parametrize("call, reads", READS.values(), ids=READS)
+def test_budget_variable_read_once_per_call(monkeypatch, call, reads):
+    env = _Environ(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    result = call()
+    assert env.reads == reads
+    if reads == 0:
+        assert result["rows"][0]["oracle_checked"] == ["2,2", "3,3"]
 
 
 def test_histograms_match_enumeration():

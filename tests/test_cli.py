@@ -12,7 +12,7 @@ import pytest
 
 import zscomb
 from zscomb import counting, dyck
-from zscomb.cli import UsageError, build_parser, run
+from zscomb.cli import COMMANDS, LIMIT, UsageError, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -443,6 +443,25 @@ def test_bad_limit_variable_exit_2(capsys, monkeypatch):
     assert code == 0
 
 
+# A desk-scale call of every leaf: its first passing golden, and cnr with
+# both sides enumerated (220 and 495 candidates).
+CALLS = {"verify cnr": "verify cnr --n 2 --m 3 --r 2"}
+for argv, code, _ in GOLDEN:
+    if code == 0:
+        CALLS.setdefault(" ".join(argv.split()[:2]), argv)
+
+
+@pytest.mark.parametrize(
+    "leaf", [f"{family} {name}" for family, name, _, _, flags, _ in COMMANDS if LIMIT not in flags]
+)
+def test_leaves_without_limit_ignore_the_budget_variable(capsys, monkeypatch, leaf):
+    monkeypatch.delenv("ZSCOMB_LIMIT", raising=False)
+    expected = invoke(capsys, *CALLS[leaf].split())
+    assert expected[0] == 0
+    monkeypatch.setenv("ZSCOMB_LIMIT", "0")
+    assert invoke(capsys, *CALLS[leaf].split()) == expected
+
+
 def test_pretty_flag(capsys):
     code, out = invoke(
         capsys, "count", "sequences", "--group", "2,2", "--length", "3", "--pretty"
@@ -533,6 +552,11 @@ def test_cold_start_loads_only_the_leaf_modules():
     assert set(zscomb.__all__) <= set(dir(zscomb))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         zscomb.no_such_name
+
+
+def test_dyck_does_not_load_the_oracles():
+    proc = _python("-c", "import sys, zscomb.dyck; print('zscomb.brute' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_determinism(capsys):

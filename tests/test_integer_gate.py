@@ -44,6 +44,8 @@ CASES = {
         lambda: count_elements_of_order(G, 2.5), "d must be an integer, got 2.5"),
     "label": (lambda: G.label([2.5, 0]), "coordinates must be integers, got [2.5, 0]"),
     "label-1.0": (lambda: G.label([1.0, 2]), "coordinates must be integers, got [1.0, 2]"),
+    "label-generator": (
+        lambda: G.label(x / 2 for x in (2, 4)), "coordinates must be integers, got (1.0, 2.0)"),
     "scalar_mul": (lambda: G.scalar_mul(2.5, 3), "c must be an integer, got 2.5"),
     "scalar_mul-2.0": (lambda: G.scalar_mul(2.0, 3), "c must be an integer, got 2.0"),
     "multinomial-n": (lambda: multinomial(2.5, 1, 1), "n must be an integer, got 2.5"),
