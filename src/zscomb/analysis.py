@@ -162,8 +162,9 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
     groups, rows, failures = _groups_up_to(max_order), [], []
+    primes = tuple(map(_prime, primes))  # checked once; an iterator is read once
     rights = {p: [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
-              for p in map(_prime, primes)}  # rights[p][m] = |M(C_p, m)|
+              for p in primes}  # rights[p][m] = |M(C_p, m)|
     for group in groups:
         name = str(group)
         for p in primes:

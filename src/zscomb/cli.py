@@ -129,8 +129,8 @@ COMMANDS = (
      "necklaces.pair_bijection", (GROUP, OTHER, VECTOR, SUBSET), ("sequence", "subset")),
     ("poincare", "table", "coefficient table through (max-s, max-t)", "poincare.poincare_table",
      (GROUP, TARGET, *_bounds()), ()),
-    ("poincare", "check", "cross-check a table against enumeration", "poincare.series_cross_check",
-     (GROUP, TARGET, *_bounds(), LIMIT), ()),
+    ("poincare", "check", "cross-check a table against direct expansion",
+     "poincare.series_cross_check", (GROUP, TARGET, *_bounds()), ()),
     ("verify", "subset-reci", "subset-count symmetry predicate",
      "analysis.verify_subset_reciprocity", (_int("--max-order", default=16),), ()),
     ("verify", "gcp", "group vs prime-cyclic reciprocity predicate", "analysis.verify_gcp",
@@ -138,8 +138,8 @@ COMMANDS = (
       ("--primes", _vec, (2, 3, 5, 7), "comma-separated primes")), ()),
     ("verify", "cnr", "r-th power group reciprocity", "analysis.cnr_reciprocity_check",
      (_int("--n"), _int("--m"), _int("--r")), ()),
-    ("verify", "series", "coefficient table vs enumeration", "poincare.series_cross_check",
-     (GROUP, TARGET, *_bounds(4), LIMIT), ()),
+    ("verify", "series", "coefficient table vs direct expansion", "poincare.series_cross_check",
+     (GROUP, TARGET, *_bounds(4)), ()),
     ("scan", "reciprocity", "tabulate reciprocity over all group pairs",
      "analysis.reciprocity_scan", (_int("--max-order", default=10),), ()),
 )

@@ -113,6 +113,9 @@ def test_verify_gcp():
     assert counterexample == [
         {"group": "2,2", "p": 2, "left": "4", "right": "3", "predicate": False}
     ]
+    # an iterator of primes is read once and scans what its list scans
+    listed = verify_gcp(8, [2, 3])
+    assert listed["scanned"] == 22 and verify_gcp(8, primes=iter([2, 3])) == listed
 
 
 def test_verify_gcp_checks_primes_before_the_sweep():

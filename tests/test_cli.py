@@ -413,20 +413,13 @@ def test_limit_flag_exit_2(capsys):
     }
 
 
-@pytest.mark.parametrize(
-    "argv, candidates, limit",
-    [
-        # 84 multisets of sizes 0..3 and 42 subsets of sizes 0..3 over C_6
-        ("poincare check --group 6 --max-s 3 --max-t 3 --limit 100", "126", "100"),
-        # 58905 multisets and 41449 subsets, not one histogram's 52360
-        ("verify series --group 2,4,4 --max-s 4 --max-t 4 --limit 50000", "100354", "50000"),
-    ],
-)
-def test_series_leaves_charge_every_histogram(capsys, argv, candidates, limit):
-    code, out = invoke(capsys, *argv.split())
-    payload = json.loads(out)
-    assert code == 2 and payload["error"] == "EnumerationLimitError"
-    assert (payload["candidates"], payload["limit"]) == (candidates, limit)
+def test_series_leaves_take_no_budget(capsys):
+    # the oracle expands the group algebra, so neither leaf enumerates or has --limit
+    with pytest.raises(UsageError, match="^unrecognized arguments: --limit 100$"):
+        build_parser().parse_args("poincare check --group 6 --max-s 3 --max-t 3 --limit 100".split())
+    # 91,937,858 candidates for the histogram oracle, beyond its default budget
+    code, out = invoke(capsys, *"verify series --group 2,4,4 --max-s 8 --max-t 8".split())
+    assert (code, json.loads(out)["failures"]) == (0, [])
 
 
 def test_bad_limit_variable_exit_2(capsys, monkeypatch):
@@ -474,8 +467,7 @@ def test_pretty_flag(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "count" in capsys.readouterr().out
-    budgeted = {"enum sequences", "enum subsets", "enum dyck", "enum pairs", "poincare check",
-                "verify series"}
+    budgeted = {"enum sequences", "enum subsets", "enum dyck", "enum pairs"}
     leaves = {" ".join(argv.split()[:2]) for argv, _, _ in GOLDEN}
     assert len(leaves) == 23 and budgeted < leaves
     for leaf in leaves:
@@ -555,8 +547,10 @@ def test_cold_start_loads_only_the_leaf_modules():
 
 
 def test_dyck_does_not_load_the_oracles():
-    proc = _python("-c", "import sys, zscomb.dyck; print('zscomb.brute' in sys.modules)")
-    assert proc.stdout == "False\n", proc.stderr
+    # neither does poincare: its series oracle expands the group algebra
+    for module in ("dyck", "poincare"):
+        proc = _python("-c", f"import sys, zscomb.{module}; print('zscomb.brute' in sys.modules)")
+        assert proc.stdout == "False\n", (module, proc.stderr)
 
 
 def test_determinism(capsys):

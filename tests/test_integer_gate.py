@@ -25,7 +25,6 @@ from zscomb import (
     subsets_by_sum,
     v2,
 )
-from zscomb.poincare import series_cross_check
 
 G = GroupSpec((2, 4))
 BUDGET = "the budget must be an integer, got 2.5"
@@ -67,7 +66,6 @@ CASES = {
     "sequences_by_sum": (lambda: sequences_by_sum(G, 2, 2.5), BUDGET),
     "subsets_by_sum": (lambda: subsets_by_sum(G, 2, 2.5), BUDGET),
     "enum_dyck": (lambda: enum_dyck(3, 2, 2.5), BUDGET),
-    "series_cross_check": (lambda: series_cross_check(G, 0, 2, 2, 2.5), BUDGET),
 }
 
 

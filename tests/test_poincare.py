@@ -1,5 +1,6 @@
 """Bigraded coefficient tables: dual computation, specializations, symmetry."""
 
+import dataclasses
 from math import comb, gcd
 
 import pytest
@@ -17,9 +18,12 @@ from zscomb import (
     pair_dimension,
     poincare,
     poincare_table,
+    sequences_by_sum,
     series_cross_check,
+    subsets_by_sum,
 )
 from zscomb import groups
+from zscomb.cli import run
 
 
 def groups_through(max_order):
@@ -133,6 +137,40 @@ def test_series_cross_check_reports():
             assert report["failures"] == []
             assert report["scanned"] == 25
             assert report["rows"][0]["ok"] is True
+
+
+def test_sum_rows_equal_the_histograms():
+    # the expansion in Z[G] counts what enumeration counts, size by size
+    for g in groups_through(12):
+        sides = ((False, sequences_by_sum, 4), (True, subsets_by_sum, min(4, g.order)))
+        for distinct, hist, top in sides:
+            rows = poincare._sum_rows(g, top, distinct)
+            assert len(rows) == top + 1
+            for size, row in enumerate(rows):
+                counts = hist(g, size)
+                assert row == [counts.get(s, 0) for s in g.elements()], (g, distinct, size)
+
+
+def test_series_cross_check_reports_a_wrong_cell(monkeypatch, capsys):
+    # one wrong table cell is the one failure, and the CLI exits 1, also
+    # under python -O
+    real = poincare.poincare_table
+
+    def one_cell_off(*args):
+        table = real(*args)
+        coeffs = [list(row) for row in table.coeffs]
+        coeffs[2][1] += 1
+        return dataclasses.replace(table, coeffs=tuple(map(tuple, coeffs)))
+
+    monkeypatch.setattr(poincare, "poincare_table", one_cell_off)
+    right = real(GroupSpec((2, 4)), 3, 4, 4).entry(2, 1)
+    report = series_cross_check(GroupSpec((2, 4)), 3, 4, 4)
+    assert report["failures"] == [{"p": 2, "k": 1, "formula": str(right + 1), "oracle": str(right)}]
+    assert report["rows"][0]["ok"] is False
+    for leaf in ("poincare check", "verify series"):
+        argv = [*leaf.split(), "--group", "2,4", "--target", "3", "--max-s", "4", "--max-t", "4"]
+        assert run(argv) == 1, leaf
+    assert all('"ok":false' in line for line in capsys.readouterr().out.splitlines())
 
 
 def test_bounds_validation():

@@ -1,9 +1,12 @@
-"""Every bijection both ways at |G| = 10^4, and enumeration memory at 2^11.
+"""Every bijection both ways at |G| = 10^4, enumeration memory at 2^11, and
+a series cross-check past enumeration's reach.
 
 Each map is linear in |G| + mass, so this runs in well under a second; a
 map that scans all rotations or re-reads the necklace per marker would take
 minutes here.  An enumerator's setup is O(|G| * rank), so listing the
-2048 one-element subsets needs kilobytes, not an |G| x |G| table.
+2048 one-element subsets needs kilobytes, not an |G| x |G| table.  The
+series oracle expands the group algebra, so a (32, 32) table of a group of
+order 32 takes milliseconds where enumerating its multisets would not end.
 """
 
 import random
@@ -22,6 +25,7 @@ from zscomb import (
     sequence_sum,
     sequence_to_dyck,
     sequence_to_necklace,
+    series_cross_check,
     subset_to_dyck,
     target_sum_shift,
     translate_complement_bijection,
@@ -82,3 +86,8 @@ def test_enum_subsets_memory_is_linear_in_the_group():
             tracemalloc.stop()
         assert out == [(1,) + (0,) * 2047]
         assert peak < 4 * 2**20, (g, peak)
+
+
+def test_series_cross_check_past_enumeration():
+    report = series_cross_check(GroupSpec((2, 4, 4)), 7, 32, 32)
+    assert report["failures"] == [] and report["scanned"] == 33 * 33
