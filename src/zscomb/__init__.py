@@ -18,7 +18,7 @@ _HOME = {
     name: module
     for module, names in (
         ("analysis", "all_abelian_groups cnr_reciprocity_check gcp_predicate reciprocity_scan"
-         " subset_reci_predicate sum_all_elements_is_zero v2 verify_gcp verify_subset_reciprocity"),
+         " subset_reci_predicate v2 verify_gcp verify_subset_reciprocity"),
         ("brute", "enum_pairs enum_sequences enum_subsets sequences_by_sum subsets_by_sum"),
         ("counting", "count_pairs_coefficient count_sequences count_subsets exact_div exact_div_row"
          " multinomial pair_count_table pair_dimension rational_catalan"),

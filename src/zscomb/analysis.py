@@ -19,7 +19,6 @@ from math import comb, gcd
 
 from .brute import enum_sequences
 from .counting import count_sequences, pair_count_table, rational_catalan
-from .errors import _check
 from .groups import GroupSpec, _integer, factorize, is_prime, normalize_group
 
 # Enumeration is only consulted when the candidate space is this small.
@@ -90,23 +89,6 @@ def subset_reci_predicate(group: GroupSpec, k: int) -> bool:
     if len(fs) >= 2 and fs[-2] % 2 == 0:
         return True
     return v2(k) < v2(fs[-1])
-
-
-def sum_all_elements_is_zero(group: GroupSpec) -> bool:
-    """Whether all group elements sum to the identity.
-
-    Non-involutions cancel in inverse pairs, so the total is the sum of the
-    2-torsion subgroup: zero unless the group has exactly one involution,
-    i.e. unless exactly one invariant factor is even.  Checked structurally
-    and by direct summation.
-    """
-    fs = group.invariant_factors
-    structural = group.order % 2 == 1 or (len(fs) >= 2 and fs[-2] % 2 == 0)
-    total = 0
-    for g in group.elements():
-        total = group.add(total, g)
-    _check(structural == (total == 0), "structural total-sum rule agrees", group=str(group))
-    return structural
 
 
 def verify_subset_reciprocity(max_order: int = 16) -> dict:

@@ -2,9 +2,9 @@
 
 Everything here recounts by exhaustion what the closed formulas claim, so it
 is deliberately simple: iterate over candidate multisets or subsets in a
-fixed order, add up their packed mixed-radix digits, and filter.  Setup is
-O(|G| * rank), so a call costs about as much as the candidates it visits.
-Candidate budgets (`errors.py`) guard against accidental blowups.
+fixed order, add up their packed mixed-radix digits, read the sums back with
+the unchecked `groups._label`, and filter.  Setup is O(|G| * rank), so a call
+costs about as much as the candidates it visits; budgets (`errors.py`) cap it.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, compress, repeat
 from math import comb
-from operator import eq, mod
+from operator import eq, sub
 
 from .errors import _check_budget
-from .groups import GroupSpec
+from .groups import GroupSpec, _digits, _label
 
 
 class _Packing(dict):
@@ -35,7 +35,7 @@ class _Packing(dict):
     def __missing__(self, key: int) -> int:
         mask = (1 << self.bits) - 1
         slots = (key >> i * self.bits & mask for i in range(self.group.rank))
-        label = self[key] = self.group.label(map(mod, slots, self.group.invariant_factors))
+        label = self[key] = _label(self.group.invariant_factors, slots)
         return label
 
 
@@ -87,15 +87,14 @@ def enum_pairs(
     Pairs are returned as (multiplicity vector, indicator vector) in
     lexicographic candidate order.
     """
-    group.check_label(target)
-    n = group.order
+    ns, goal, n = group.invariant_factors, group.coords(target), group.order
     p, k = group.check_size(p), group.check_size(k, subset=True)
     limit = _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
     by_sum: dict[int, list] = {}
     for labels, t in zip(*_candidates(group, k, True, limit)):
         by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
     # the subsets of sum t pair with the multisets of sum target - t
-    partners = {group.sub(target, t): subsets for t, subsets in by_sum.items()}
+    partners = {_label(ns, map(sub, goal, _digits(ns, t))): subs for t, subs in by_sum.items()}
     out = []
     for labels, s in zip(*_candidates(group, p, False, limit)):
         out += zip(repeat(_to_multiplicity(n, labels)), partners.get(s, ()))

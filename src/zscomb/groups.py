@@ -6,13 +6,15 @@ Elements are addressed by integer labels 0..|G|-1 in mixed radix, least
 significant factor first:
 
     label = a_1 + n_1*(a_2 + n_2*(a_3 + ...))      with 0 <= a_i < n_i.
+
+The unchecked `_digits` and `_label` are the one place labels are encoded.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from math import gcd, lcm, prod
-from operator import index
+from operator import add, index, neg, sub
 
 
 @cache
@@ -77,6 +79,24 @@ def _integers(values, what: str) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
+def _digits(ns: tuple[int, ...], label: int) -> tuple[int, ...]:
+    """Mixed-radix digits of a label already known to be in range."""
+    out = []
+    for n_i in ns:
+        out.append(label % n_i)
+        label //= n_i
+    return tuple(out)
+
+
+def _label(ns: tuple[int, ...], digits) -> int:
+    """Label of any integer digits (an iterable), each reduced mod its factor."""
+    out, unit = 0, 1
+    for n_i, a_i in zip(ns, digits):
+        out += a_i % n_i * unit
+        unit *= n_i
+    return out
 
 
 class GroupSpec:
@@ -169,44 +189,31 @@ class GroupSpec:
 
     def coords(self, label: int) -> tuple[int, ...]:
         """Mixed-radix digits (a_1, ..., a_r) of an element label."""
-        self.check_label(label)
-        out = []
-        for n_i in self.invariant_factors:
-            out.append(label % n_i)
-            label //= n_i
-        return tuple(out)
+        return _digits(self.invariant_factors, self.check_label(label))
 
     def label(self, coords) -> int:
         """Inverse of :meth:`coords`."""
         coords = _integers(coords, "coordinates")
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        out = 0
         for n_i, a_i in zip(reversed(self.invariant_factors), reversed(coords)):
             if not 0 <= a_i < n_i:
                 raise ValueError(f"coordinate {a_i} out of range mod {n_i}")
-            out = out * n_i + a_i
-        return out
+        return _label(self.invariant_factors, coords)
 
     def add(self, g: int, h: int) -> int:
-        return self.label(
-            (a + b) % n
-            for a, b, n in zip(self.coords(g), self.coords(h), self.invariant_factors)
-        )
+        return _label(self.invariant_factors, map(add, self.coords(g), self.coords(h)))
 
     def negate(self, g: int) -> int:
-        return self.label(
-            (-a) % n for a, n in zip(self.coords(g), self.invariant_factors)
-        )
+        return _label(self.invariant_factors, map(neg, self.coords(g)))
 
     def sub(self, g: int, h: int) -> int:
-        return self.add(g, self.negate(h))
+        h = self.coords(h)  # h first: with two bad labels, the error names h
+        return _label(self.invariant_factors, map(sub, self.coords(g), h))
 
     def scalar_mul(self, c: int, g: int) -> int:
         c = _integer(c, "c")
-        return self.label(
-            (c * a) % n for a, n in zip(self.coords(g), self.invariant_factors)
-        )
+        return _label(self.invariant_factors, (c * a for a in self.coords(g)))
 
     def element_order(self, g: int) -> int:
         return lcm(
@@ -251,10 +258,7 @@ def character_profile(group: GroupSpec, g: int) -> tuple[tuple[int, int], ...]:
 def _profile(ns: tuple[int, ...], g: int) -> tuple[tuple[int, int], ...]:
     # F(l) of character_sum for every l | exponent, then Moebius inversion one
     # prime at a time: O(tau * omega) steps, where a sum per d takes O(tau^2).
-    coords, exponent = [], ns[-1] if ns else 1
-    for n_i in ns:
-        g, a_i = divmod(g, n_i)
-        coords.append(a_i)
+    coords, exponent = _digits(ns, g), ns[-1] if ns else 1
     ds, f = divisors(exponent), {}
     for l in ds:
         term = 1

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
-from .groups import GroupSpec, character_sum, divisors
-from .zerosum import translate
+from .groups import GroupSpec, _digits, _label, character_sum, divisors
+from .zerosum import _translate
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,14 @@ def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> Coe
 def _sum_rows(group: GroupSpec, top: int, distinct: bool) -> list[list[int]]:
     """rows[s][g] counts the size-s multisets (subsets if distinct) with sum g:
     the product over x in G of 1/(1 - s[x]) (1 + s[x] if distinct) in Z[G],
-    truncated at size top, one translate per element and size, sizes
-    ascending (descending if distinct)."""
+    truncated at size top, sizes ascending (descending if distinct): each x
+    decoded once, then one unchecked `zerosum._translate` per size."""
+    ns = group.invariant_factors
     rows = [[int(g == 0) for g in group.elements()]] + [[0] * group.order for _ in range(top)]
     for x in group.elements():
+        digits = _digits(ns, x)
         for s in range(top, 0, -1) if distinct else range(1, top + 1):
-            rows[s] = list(map(add, rows[s], translate(group, rows[s - 1], x)))
+            rows[s] = list(map(add, rows[s], _translate(ns, rows[s - 1], digits)))
     return rows
 
 
@@ -111,7 +113,8 @@ def series_cross_check(group: GroupSpec, target: int, max_s: int, max_t: int) ->
     in O(|G|^2 (max_s + max_t) + |G| max_s max_t) and with no budget.  Returns a
     report dict with any mismatching entries."""
     table = poincare_table(group, target, max_s, max_t)
-    partner = [group.sub(target, g) for g in group.elements()]
+    ns, goal = group.invariant_factors, group.coords(target)
+    partner = [_label(ns, map(sub, goal, _digits(ns, g))) for g in group.elements()]
     subs = [[row[h] for h in partner] for row in _sum_rows(group, min(max_t, group.order), True)]
     failures = []
     for p, seq in enumerate(_sum_rows(group, max_s, False)):

@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd, prod
 
 from .errors import _check
-from .groups import GroupSpec, _integer, _integers
+from .groups import GroupSpec, _integer, _integers, _label
 
 
 def check_vector(group: GroupSpec, vec) -> tuple[int, ...]:
@@ -41,7 +41,7 @@ def check_indicator(group: GroupSpec, vec) -> tuple[int, ...]:
 def sequence_sum(group: GroupSpec, vec) -> int:
     """Group sum of the multiset encoded by vec, as an element label."""
     vec = check_vector(group, vec)
-    return group.label(_sum_coord(group, vec, axis) for axis in range(group.rank))
+    return _label(group.invariant_factors, (_sum_coord(group, vec, a) for a in range(group.rank)))
 
 
 def is_zero_sum(group: GroupSpec, vec) -> bool:
@@ -103,10 +103,13 @@ def translate(group: GroupSpec, vec, g: int):
     whole move is one block rotation per axis, linear in |G|.
     """
     vec = check_vector(group, vec)
-    n = group.order
-    out = vec
-    unit = 1
-    for n_t, g_t in zip(group.invariant_factors, group.coords(g)):
+    return _translate(group.invariant_factors, vec, group.coords(g))
+
+
+def _translate(ns: tuple[int, ...], vec, digits):
+    """:func:`translate` of a checked vector by the element with these digits."""
+    n, out, unit = len(vec), vec, 1
+    for n_t, g_t in zip(ns, digits):
         block = unit * n_t
         cut = block - g_t * unit
         if g_t:

@@ -12,8 +12,8 @@ from zscomb import (
     count_sequences,
     gcp_predicate,
     reciprocity_scan,
+    sequence_sum,
     subset_reci_predicate,
-    sum_all_elements_is_zero,
     v2,
     verify_gcp,
     verify_subset_reciprocity,
@@ -73,10 +73,14 @@ def test_subset_reci_predicate():
 
 
 def test_sum_all_elements_is_zero():
-    assert sum_all_elements_is_zero(GroupSpec((2, 2))) is True
-    assert sum_all_elements_is_zero(GroupSpec((4,))) is False
-    assert sum_all_elements_is_zero(GroupSpec((5,))) is True
-    assert sum_all_elements_is_zero(GroupSpec(())) is True
+    # inverse pairs cancel, so all elements sum to the sum of the 2-torsion:
+    # zero unless exactly one invariant factor is even (the first two
+    # branches of subset_reci_predicate)
+    for order in range(1, 65):
+        for g in all_abelian_groups(order):
+            fs = g.invariant_factors
+            rule = g.order % 2 == 1 or (len(fs) >= 2 and fs[-2] % 2 == 0)
+            assert (sequence_sum(g, (1,) * g.order) == 0) == rule, g
 
 
 def test_verify_subset_reciprocity():

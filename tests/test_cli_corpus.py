@@ -157,10 +157,11 @@ def _leaf_inputs(rng, name, fs):
     return {}
 
 
-def _value(rng, family, name, flag, fs, inputs):
+def _value(rng, name, flag, fs, inputs, small):
+    """One flag's text; `small` keeps enumerations and the series DP cheap."""
     if flag in inputs:
         return inputs[flag]
-    n, small = prod(fs), family == "enum" or name in ("check", "series")
+    n = prod(fs)
     table = {
         "--group": lambda: _group(fs),
         "--target": lambda: rng.randrange(n),
@@ -187,7 +188,7 @@ def _argv(rng, family, name, flags):
     argv = [family, name]
     for flag, _, default, _ in flags:
         if default is REQUIRED or rng.random() < 0.5:
-            argv += [flag, _value(rng, family, name, flag, fs, inputs)]
+            argv += [flag, _value(rng, name, flag, fs, inputs, small)]
     if rng.random() < 0.05:
         argv.append("--pretty")
     roll = rng.random()

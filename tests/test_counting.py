@@ -18,11 +18,13 @@ from zscomb import (
     rational_catalan,
     sequence_sum,
     sequences_by_sum,
+    series_cross_check,
     subsets_by_sum,
 )
-from zscomb import groups
+from zscomb import groups, zerosum
 from zscomb._prime_powers import prime_power_binomial
 from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row
+from zscomb.poincare import _sum_rows
 
 
 def groups_through(max_order):
@@ -257,3 +259,31 @@ def test_a_count_checks_its_target_once(monkeypatch):
         calls.clear()
         count()
         assert calls == [3]
+
+
+def test_the_oracles_check_their_target_once(monkeypatch):
+    # the oracles do their label and row arithmetic through the unchecked core:
+    # enum_pairs checks its target once, series_cross_check adds at most one
+    # check to the table's four (the profile's, and character_sum's per
+    # divisor of 4), and the group-algebra DP checks none of the rows it builds
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(GroupSpec, "check_label", counted("label", GroupSpec.check_label))
+    monkeypatch.setattr(zerosum, "check_vector", counted("vector", zerosum.check_vector))
+    enum_pairs(GroupSpec((2, 6)), 2, 3, 5)
+    assert calls == ["label"]
+    groups._profile.cache_clear()
+    calls.clear()
+    series_cross_check(GroupSpec((2, 4, 4)), 7, 4, 4)
+    assert set(calls) == {"label"} and len(calls) <= 5
+    for distinct in (False, True):
+        calls.clear()
+        _sum_rows(GroupSpec((2, 4, 4)), 4, distinct)
+        assert calls == []

@@ -2,6 +2,7 @@
 
 import pickle
 from copy import deepcopy
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -164,12 +165,33 @@ def test_check_label():
 def test_label_roundtrip():
     g = GroupSpec((2, 2, 4))
     assert g.order == 16
-    for lab in g.elements():
-        assert g.label(g.coords(lab)) == lab
     # least-significant-first: label 1 is the generator of the first factor
     assert g.coords(1) == (1, 0, 0)
     assert g.coords(2) == (0, 1, 0)
     assert g.coords(4) == (0, 0, 1)
+    # every label operation against a label -> digits table counted out by
+    # itertools.product (the first digit turns fastest), with no divmod
+    for order in range(1, 33):
+        for g in all_abelian_groups(order):
+            fs = g.invariant_factors
+            table = [tuple(reversed(ds)) for ds in product(*map(range, reversed(fs)))]
+            label = {ds: lab for lab, ds in enumerate(table)}.__getitem__
+
+            def reduced(ds):
+                return label(tuple(a % n for a, n in zip(ds, fs)))
+
+            assert len(table) == g.order
+            for a, da in enumerate(table):
+                assert g.coords(a) == da and g.label(da) == a
+                assert g.negate(a) == reduced([-x for x in da])
+                for c in (-3, -1, 0, 2, 5, g.exponent + 1):
+                    assert g.scalar_mul(c, a) == reduced([c * x for x in da])
+                assert g.element_order(a) == next(
+                    d for d in range(1, g.order + 1) if reduced([d * x for x in da]) == 0
+                )
+                for b, db in enumerate(table):
+                    assert g.add(a, b) == reduced([x + y for x, y in zip(da, db)])
+                    assert g.sub(a, b) == reduced([x - y for x, y in zip(da, db)])
 
 
 @given(small_groups, st.data())
