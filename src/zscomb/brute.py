@@ -1,18 +1,20 @@
 """Brute-force enumeration oracles.
 
 Everything here recounts by exhaustion what the closed formulas claim, so it
-is deliberately simple: iterate over candidate multisets or subsets in a
-fixed order, add up their packed mixed-radix digits, read the sums back with
-the unchecked `groups._label`, and filter.  Setup is O(|G| * rank), so a call
-costs about as much as the candidates it visits; budgets (`errors.py`) cap it.
+is deliberately simple: walk candidate multisets or subsets in a fixed order,
+add up their packed mixed-radix digits and read the sums back with the
+unchecked `groups._label`.  A listing of one sum walks only the sorted
+(size - 1)-label prefixes and solves each for its last label.  Setup is
+O(|G| * rank); budgets (`errors.py`) charge the full candidate space before
+any work, which bounds the walk.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, compress, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from math import comb
-from operator import eq, sub
+from operator import sub
 
 from .errors import _check_budget
 from .groups import GroupSpec, _digits, _label
@@ -39,15 +41,20 @@ class _Packing(dict):
         return label
 
 
-def _candidates(group: GroupSpec, size: int, distinct: bool, limit: int | None):
-    """Label tuples of every size-`size` multiset (subset if distinct), in
-    combinations order, and in step with them the label of each one's sum."""
-    n = group.order
-    group.check_size(size, distinct)
+def _charge(group: GroupSpec, size: int, distinct: bool, limit: int | None) -> int:
+    """Check a multiset (subset if distinct) size, charge all its candidates."""
+    n, size = group.order, group.check_size(size, distinct)
     _check_budget(comb(n, size) if distinct else comb(n + size - 1, size), limit)
+    return size
+
+
+def _candidates(group: GroupSpec, size: int, distinct: bool, pool: int):
+    """Label tuples of every size-`size` multiset (subset if distinct) of the
+    labels below `pool`, in combinations order, and in step with them the
+    label of each one's sum.  The caller has checked `size`."""
     pick = combinations if distinct else combinations_with_replacement
     pack = _Packing(group, size)
-    return pick(range(n), size), map(pack.__getitem__, map(sum, pick(pack.packed, size)))
+    return pick(range(pool), size), map(pack.__getitem__, map(sum, pick(pack.packed[:pool], size)))
 
 
 def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
@@ -57,11 +64,26 @@ def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _need(group: GroupSpec, goal) -> list[int]:
+    """need[s] is the label of goal - s, goal given by its digits."""
+    ns = group.invariant_factors
+    return [_label(ns, map(sub, goal, _digits(ns, s))) for s in range(group.order)]
+
+
 def _with_sum(group: GroupSpec, size: int, distinct: bool, target: int, limit: int | None):
-    group.check_label(target)
-    labels, sums = _candidates(group, size, distinct, limit)
-    hits = compress(labels, map(eq, repeat(target), sums))
-    return [_to_multiplicity(group.order, c) for c in hits]
+    """Each sorted (size - 1)-label prefix is completed by need[its sum],
+    kept if that label sorts last (strictly if distinct)."""
+    goal, n = group.coords(target), group.order
+    size = _charge(group, size, distinct, limit)
+    if not size:
+        return [(0,) * n] if target == 0 else []
+    need = _need(group, goal)
+    prefixes, sums = _candidates(group, size - 1, distinct, n - distinct)
+    return [
+        _to_multiplicity(n, prefix + (x,))
+        for prefix, x in zip(prefixes, map(need.__getitem__, sums))
+        if not prefix or x >= prefix[-1] + distinct
+    ]
 
 
 def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None = None):
@@ -87,25 +109,26 @@ def enum_pairs(
     Pairs are returned as (multiplicity vector, indicator vector) in
     lexicographic candidate order.
     """
-    ns, goal, n = group.invariant_factors, group.coords(target), group.order
+    goal, n = group.coords(target), group.order
     p, k = group.check_size(p), group.check_size(k, subset=True)
-    limit = _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
+    _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
     by_sum: dict[int, list] = {}
-    for labels, t in zip(*_candidates(group, k, True, limit)):
+    for labels, t in zip(*_candidates(group, k, True, n)):
         by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
     # the subsets of sum t pair with the multisets of sum target - t
-    partners = {_label(ns, map(sub, goal, _digits(ns, t))): subs for t, subs in by_sum.items()}
+    need = _need(group, goal)
+    partners = {need[t]: subs for t, subs in by_sum.items()}
     out = []
-    for labels, s in zip(*_candidates(group, p, False, limit)):
+    for labels, s in zip(*_candidates(group, p, False, n)):
         out += zip(repeat(_to_multiplicity(n, labels)), partners.get(s, ()))
     return out
 
 
 def sequences_by_sum(group: GroupSpec, m: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of length-m multisets."""
-    return Counter(_candidates(group, m, False, limit)[1])
+    return Counter(_candidates(group, _charge(group, m, False, limit), False, group.order)[1])
 
 
 def subsets_by_sum(group: GroupSpec, k: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of k-subsets."""
-    return Counter(_candidates(group, k, True, limit)[1])
+    return Counter(_candidates(group, _charge(group, k, True, limit), True, group.order)[1])

@@ -146,33 +146,31 @@ COMMANDS = (
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of every command.  Given the argv it will parse, it leaves
-    out what that parse cannot reach: when argv[0] names a family, the other
-    families' leaves, and when argv[1] then names a leaf (is not an option),
-    the other leaves' flags.  Help and error messages are the full tree's."""
+    """The parser of every command.  Given the argv it will parse, when
+    argv[0] names a family and argv[1] one of its leaves, it builds only the
+    top parser, that family and that leaf; that parse reaches nothing else,
+    so its namespace or usage error is the full tree's."""
     parser = _Parser(
         prog="zscomb",
         description="Zero-sum subset and multiset combinatorics over finite abelian groups.",
     )
+    commands = [c for c in COMMANDS if argv and c[:2] == tuple(argv[:2])] or COMMANDS
     top = parser.add_subparsers(dest="command", required=True)
     families = {
         family: top.add_parser(family, help=help_text).add_subparsers(
             dest="subcommand", required=True
         )
         for family, help_text in FAMILIES.items()
+        if any(c[0] == family for c in commands)
     }
-    only_family = argv[0] if argv and argv[0] in FAMILIES else None
-    only_leaf = argv[1] if only_family and argv[1:] and not argv[1].startswith("-") else None
-    for family, name, help_text, target, flags, fields in COMMANDS:
-        if only_family in (None, family):
-            p = families[family].add_parser(name, help=help_text)
-            if only_leaf in (None, name):
-                p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-                dests = [
-                    p.add_argument(f, type=t, default=d, required=d is REQUIRED, help=h).dest
-                    for f, t, d, h in flags
-                ]
-                p.set_defaults(leaf=(target, dests, fields))
+    for family, name, help_text, target, flags, fields in commands:
+        p = families[family].add_parser(name, help=help_text)
+        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        dests = [
+            p.add_argument(f, type=t, default=d, required=d is REQUIRED, help=h).dest
+            for f, t, d, h in flags
+        ]
+        p.set_defaults(leaf=(target, dests, fields))
     return parser
 
 

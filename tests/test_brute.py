@@ -11,6 +11,7 @@ import pytest
 from zscomb import (
     EnumerationLimitError,
     GroupSpec,
+    all_abelian_groups,
     cnr_reciprocity_check,
     count_pairs_coefficient,
     count_sequences,
@@ -297,3 +298,18 @@ def test_enumerators_match_reference_fold():
                 if g.add(su, sv) == target
             ]
             assert enum_pairs(g, p, k, target) == expected, (factors, p, k, target)
+
+
+def test_prefix_walk_edges_match_reference_fold():
+    # a listing solves each sorted (size - 1)-prefix for its last label: check
+    # the sizes where that prefix is empty, full or most of the group, in order
+    for g in (g for order in range(1, 9) for g in all_abelian_groups(order)):
+        n = g.order
+        subset_sizes = {0, 1, n - 1, n, *range(n // 2 + 1, n + 1)}
+        for distinct, sizes in ((True, subset_sizes), (False, (0, 1, 2))):
+            enum = enum_subsets if distinct else enum_sequences
+            for size in sorted(sizes):
+                ref = _reference(g, size, distinct)
+                for target in g.elements():
+                    expected = [_vector(g, labels) for labels, s in ref if s == target]
+                    assert enum(g, size, target) == expected, (g, distinct, size, target)

@@ -18,7 +18,7 @@ from contextlib import redirect_stdout
 from io import StringIO
 from math import gcd, prod
 
-from zscomb.cli import COMMANDS, REQUIRED, run
+from zscomb.cli import COMMANDS, REQUIRED, UsageError, build_parser, run
 
 SEED, CALLS = 2019, 1000
 DIGEST = "28581bed5b938811939fa227c5161e572535ad2ec319b1a6a86e732a132f2430"
@@ -239,3 +239,18 @@ def test_every_call_prints_one_json_document_and_the_outputs_are_pinned(monkeypa
     # the corpus reaches every leaf, and every leaf succeeds at least once
     assert {leaf for leaf, seen in codes.items() if 0 in seen} == {c[:2] for c in COMMANDS}
     assert digest == DIGEST
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        return str(exc)
+
+
+def test_the_pruned_parser_parses_like_the_full_tree():
+    # build_parser(argv) builds only the leaf argv names; on every corpus
+    # line it gives the full tree's namespace or its exact usage error
+    full = build_parser()
+    for argv in corpus():
+        assert _parse(build_parser(argv), argv) == _parse(full, argv), argv

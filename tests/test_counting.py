@@ -287,3 +287,16 @@ def test_the_oracles_check_their_target_once(monkeypatch):
         calls.clear()
         _sum_rows(GroupSpec((2, 4, 4)), 4, distinct)
         assert calls == []
+
+
+def test_enum_pairs_checks_its_sizes_once(monkeypatch):
+    # p and k are checked at the entry; the two candidate streams take them as checked
+    calls, real = [], GroupSpec.check_size
+
+    def counted(self, size, *args, **kwargs):
+        calls.append(size)
+        return real(self, size, *args, **kwargs)
+
+    monkeypatch.setattr(GroupSpec, "check_size", counted)
+    enum_pairs(GroupSpec((2, 6)), 2, 3, 5)
+    assert calls == [2, 3]

@@ -1,22 +1,29 @@
-"""Every bijection both ways at |G| = 10^4, enumeration memory at 2^11, and
-a series cross-check past enumeration's reach.
+"""Every bijection both ways at |G| = 10^4, enumeration memory at 2^11,
+listings at 2^12, and a series cross-check past enumeration's reach.
 
 Each map is linear in |G| + mass, so this runs in well under a second; a
 map that scans all rotations or re-reads the necklace per marker would take
 minutes here.  An enumerator's setup is O(|G| * rank), so listing the
-2048 one-element subsets needs kilobytes, not an |G| x |G| table.  The
+2048 one-element subsets needs kilobytes, not an |G| x |G| table; a
+listing solves each (size - 1)-label prefix for its last label, so the
+pairs of one sum in a group of order 4096 cost about their output, where a
+walk over all 8 million pairs would take seconds.  The
 series oracle expands the group algebra, so a (32, 32) table of a group of
 order 32 takes milliseconds where enumerating its multisets would not end.
 """
 
 import random
 import tracemalloc
+from itertools import compress
 
 from zscomb import (
     GroupSpec,
     complement_bijection,
+    count_sequences,
+    count_subsets,
     dyck_to_sequence,
     dyck_to_subset,
+    enum_sequences,
     enum_subsets,
     is_zero_sum_by_congruences,
     necklace_to_sequence,
@@ -86,6 +93,29 @@ def test_enum_subsets_memory_is_linear_in_the_group():
             tracemalloc.stop()
         assert out == [(1,) + (0,) * 2047]
         assert peak < 4 * 2**20, (g, peak)
+
+
+def test_pair_listings_at_four_thousand():
+    # the working memory on top of the listing itself (about 2048 vectors of
+    # 4096 entries) stays under the one-element listing's bound above; each
+    # item's sum is its two labels' GroupSpec.add (a sequence_sum per item
+    # would cost seconds here)
+    for g in (GroupSpec((4096,)), GroupSpec((2, 2048))):
+        target, labels = g.order // 2 + 5, range(g.order)
+        for enum, count in ((enum_subsets, count_subsets), (enum_sequences, count_sequences)):
+            tracemalloc.start()
+            try:
+                out = enum(g, 2, target)
+                size, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(out) == count(g, 2, target), (g, enum)
+            assert len(set(out)) == len(out), (g, enum)
+            for vec in out:
+                pair = [lab for lab in compress(labels, vec) for _ in range(vec[lab])]
+                assert len(pair) == 2 and g.add(*pair) == target, (g, enum, pair)
+            assert peak - size < 4 * 2**20, (g, enum, peak - size)
+            del out
 
 
 def test_series_cross_check_past_enumeration():
