@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, repeat
 from math import comb
-from operator import sub
 
 from .errors import _check_budget
-from .groups import GroupSpec, _digits, _label
+from .groups import GroupSpec, _label, _minus
 
 
 class _Packing(dict):
@@ -64,20 +63,14 @@ def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _need(group: GroupSpec, goal) -> list[int]:
-    """need[s] is the label of goal - s, goal given by its digits."""
-    ns = group.invariant_factors
-    return [_label(ns, map(sub, goal, _digits(ns, s))) for s in range(group.order)]
-
-
 def _with_sum(group: GroupSpec, size: int, distinct: bool, target: int, limit: int | None):
-    """Each sorted (size - 1)-label prefix is completed by need[its sum],
-    kept if that label sorts last (strictly if distinct)."""
+    """Each sorted (size - 1)-label prefix is completed by need[its sum], the
+    label of target minus that sum, kept if it sorts last (strictly if distinct)."""
     goal, n = group.coords(target), group.order
     size = _charge(group, size, distinct, limit)
     if not size:
         return [(0,) * n] if target == 0 else []
-    need = _need(group, goal)
+    need = _minus(group.invariant_factors, goal)
     prefixes, sums = _candidates(group, size - 1, distinct, n - distinct)
     return [
         _to_multiplicity(n, prefix + (x,))
@@ -116,7 +109,7 @@ def enum_pairs(
     for labels, t in zip(*_candidates(group, k, True, n)):
         by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
     # the subsets of sum t pair with the multisets of sum target - t
-    need = _need(group, goal)
+    need = _minus(group.invariant_factors, goal)
     partners = {need[t]: subs for t, subs in by_sum.items()}
     out = []
     for labels, s in zip(*_candidates(group, p, False, n)):

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import import_module
 
 from .errors import EnumerationLimitError, ExactDivisionError, InvariantError, _check_budget
 from .groups import GroupSpec
@@ -92,56 +91,56 @@ FAMILIES = {
 }
 
 
-# Every leaf: (family, name, help, "module.function", flags in call order,
-# result fields).  `run` imports the function's module only when its leaf runs.
+# Every leaf: (family, name, help, public function name, flags in call order,
+# result fields).  `run` resolves the name through the package's lazy table.
 COMMANDS = (
-    ("count", "sequences", "zero-sum multisets of a given size", "counting.count_sequences",
+    ("count", "sequences", "zero-sum multisets of a given size", "count_sequences",
      (GROUP, LENGTH, TARGET), ("count",)),
-    ("count", "subsets", "zero-sum subsets of a given size", "counting.count_subsets",
+    ("count", "subsets", "zero-sum subsets of a given size", "count_subsets",
      (GROUP, SIZE, TARGET), ("count",)),
-    ("count", "catalan", "rational Catalan number", "counting.rational_catalan", A_B, ("count",)),
-    ("count", "pair-dim", "(multiset, subset) pair count", "counting.pair_dimension",
+    ("count", "catalan", "rational Catalan number", "rational_catalan", A_B, ("count",)),
+    ("count", "pair-dim", "(multiset, subset) pair count", "pair_dimension",
      (_int("--p", "multiset size"), _int("--q", "group order minus subset size"),
       _int("--m", "subset size"), GROUP), ("count",)),
-    ("enum", "sequences", "list zero-sum multisets", "brute.enum_sequences",
+    ("enum", "sequences", "list zero-sum multisets", "enum_sequences",
      (GROUP, LENGTH, TARGET, LIMIT), ()),
-    ("enum", "subsets", "list zero-sum subsets", "brute.enum_subsets",
+    ("enum", "subsets", "list zero-sum subsets", "enum_subsets",
      (GROUP, SIZE, TARGET, LIMIT), ()),
-    ("enum", "dyck", "list (a,b)-Dyck paths as step words", "dyck.enum_dyck", (*A_B, LIMIT), ()),
-    ("enum", "pairs", "list (multiset, subset) pairs", "brute.enum_pairs",
+    ("enum", "dyck", "list (a,b)-Dyck paths as step words", "enum_dyck", (*A_B, LIMIT), ()),
+    ("enum", "pairs", "list (multiset, subset) pairs", "enum_pairs",
      (GROUP, _int("--p", "multiset size"), _int("--k", "subset size"), TARGET, LIMIT),
      ("sequence", "subset")),
-    ("biject", "seq-to-dyck", "zero-sum multiset to Dyck gap vector", "dyck.sequence_to_dyck",
+    ("biject", "seq-to-dyck", "zero-sum multiset to Dyck gap vector", "sequence_to_dyck",
      (GROUP, VECTOR), ("gaps", "rotation")),
-    ("biject", "dyck-to-seq", "Dyck gap vector to zero-sum multiset", "dyck.dyck_to_sequence",
+    ("biject", "dyck-to-seq", "Dyck gap vector to zero-sum multiset", "dyck_to_sequence",
      (GROUP, ("--gaps", _vec, REQUIRED, "column-gap vector")), ("vector", "shift")),
-    ("biject", "subset-to-dyck", "zero-sum subset to Dyck step word", "dyck.subset_to_dyck",
+    ("biject", "subset-to-dyck", "zero-sum subset to Dyck step word", "subset_to_dyck",
      (GROUP, SUBSET), ("word", "rotation")),
-    ("biject", "dyck-to-subset", "Dyck step word to zero-sum subset", "dyck.dyck_to_subset",
+    ("biject", "dyck-to-subset", "Dyck step word to zero-sum subset", "dyck_to_subset",
      (GROUP, ("--word", str, REQUIRED, "0/1 step word")), ("subset", "shift")),
     ("biject", "reciprocity", "multisets over G to multisets over H",
-     "necklaces.reciprocity_bijection", (GROUP, OTHER, VECTOR), ("vector",)),
+     "reciprocity_bijection", (GROUP, OTHER, VECTOR), ("vector",)),
     ("biject", "complement", "k-subsets to (n-k)-subsets by rotation",
-     "necklaces.complement_bijection", (GROUP, SUBSET), ("subset", "shift")),
+     "complement_bijection", (GROUP, SUBSET), ("subset", "shift")),
     ("biject", "translate-complement", "k-subsets to (n-k)-subsets by translation",
-     "necklaces.translate_complement_bijection", (GROUP, SUBSET), ("subset", "translation")),
+     "translate_complement_bijection", (GROUP, SUBSET), ("subset", "translation")),
     ("biject", "pair", "(multiset, subset) pairs over G to pairs over H",
-     "necklaces.pair_bijection", (GROUP, OTHER, VECTOR, SUBSET), ("sequence", "subset")),
-    ("poincare", "table", "coefficient table through (max-s, max-t)", "poincare.poincare_table",
+     "pair_bijection", (GROUP, OTHER, VECTOR, SUBSET), ("sequence", "subset")),
+    ("poincare", "table", "coefficient table through (max-s, max-t)", "poincare_table",
      (GROUP, TARGET, *_bounds()), ()),
     ("poincare", "check", "cross-check a table against direct expansion",
-     "poincare.series_cross_check", (GROUP, TARGET, *_bounds()), ()),
+     "series_cross_check", (GROUP, TARGET, *_bounds()), ()),
     ("verify", "subset-reci", "subset-count symmetry predicate",
-     "analysis.verify_subset_reciprocity", (_int("--max-order", default=16),), ()),
-    ("verify", "gcp", "group vs prime-cyclic reciprocity predicate", "analysis.verify_gcp",
+     "verify_subset_reciprocity", (_int("--max-order", default=16),), ()),
+    ("verify", "gcp", "group vs prime-cyclic reciprocity predicate", "verify_gcp",
      (_int("--max-order", default=16),
       ("--primes", _vec, (2, 3, 5, 7), "comma-separated primes")), ()),
-    ("verify", "cnr", "r-th power group reciprocity", "analysis.cnr_reciprocity_check",
+    ("verify", "cnr", "r-th power group reciprocity", "cnr_reciprocity_check",
      (_int("--n"), _int("--m"), _int("--r")), ()),
-    ("verify", "series", "coefficient table vs direct expansion", "poincare.series_cross_check",
+    ("verify", "series", "coefficient table vs direct expansion", "series_cross_check",
      (GROUP, TARGET, *_bounds(4)), ()),
     ("scan", "reciprocity", "tabulate reciprocity over all group pairs",
-     "analysis.reciprocity_scan", (_int("--max-order", default=10),), ()),
+     "reciprocity_scan", (_int("--max-order", default=10),), ()),
 )
 
 
@@ -203,8 +202,7 @@ def run(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         pretty = args.pretty
         target, dests, fields = args.leaf
-        module, _, name = target.partition(".")
-        fn = getattr(import_module(f".{module}", __package__), name)
+        fn = getattr(sys.modules[__package__], target)
         payload = _encode(fn(*[getattr(args, dest) for dest in dests]), fields)
         code = 1 if isinstance(payload, dict) and payload.get("failures") else 0
     except SystemExit as exc:  # --help

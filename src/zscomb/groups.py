@@ -99,6 +99,11 @@ def _label(ns: tuple[int, ...], digits) -> int:
     return out
 
 
+def _minus(ns: tuple[int, ...], goal) -> list[int]:
+    """minus[s] is the label of goal - s for every label s, goal given by its digits."""
+    return [_label(ns, map(sub, goal, _digits(ns, s))) for s in range(prod(ns))]
+
+
 class GroupSpec:
     """A finite abelian group with a canonical invariant-factor chain.
 

@@ -22,7 +22,6 @@ from operator import add
 from .errors import _check
 from .groups import GroupSpec, factorize
 from .zerosum import (
-    _sum_coord,
     _zero_sum_input,
     check_indicator,
     check_vector,
@@ -198,7 +197,7 @@ def pair_bijection(
             f"need gcd(p, q+m) = gcd(q, p+m) = 1, got (p, q, m) = {(p, q, m)}"
         )
     both = tuple(map(add, seq_vec, subset_bits))  # the multiset A + B
-    if any(_sum_coord(group, both, axis) for axis in range(group.rank)):
+    if sequence_sum(group, both):
         raise ValueError("pair does not sum to the identity")
 
     _, pinned = zero_sum_shift(group, seq_vec)

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul
 
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
-from .groups import GroupSpec, _digits, _label, character_sum, divisors
+from .groups import GroupSpec, _digits, _minus, character_sum, divisors
 from .zerosum import _translate
 
 
@@ -113,8 +113,7 @@ def series_cross_check(group: GroupSpec, target: int, max_s: int, max_t: int) ->
     in O(|G|^2 (max_s + max_t) + |G| max_s max_t) and with no budget.  Returns a
     report dict with any mismatching entries."""
     table = poincare_table(group, target, max_s, max_t)
-    ns, goal = group.invariant_factors, group.coords(target)
-    partner = [_label(ns, map(sub, goal, _digits(ns, g))) for g in group.elements()]
+    partner = _minus(group.invariant_factors, group.coords(target))
     subs = [[row[h] for h in partner] for row in _sum_rows(group, min(max_t, group.order), True)]
     failures = []
     for p, seq in enumerate(_sum_rows(group, max_s, False)):

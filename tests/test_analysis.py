@@ -1,7 +1,7 @@
 """Predicates, verifiers, and the group-pair scan."""
 
 import json
-from math import prod
+from math import comb, gcd, prod
 
 import pytest
 
@@ -18,6 +18,7 @@ from zscomb import (
     verify_gcp,
     verify_subset_reciprocity,
 )
+from zscomb.analysis import ORACLE_BUDGET
 from zscomb.groups import factorize
 
 
@@ -58,6 +59,18 @@ def test_all_abelian_groups_distinct_sorted_and_counted():
         assert chains == sorted(set(chains)), order
         assert len(chains) == prod(partitions[e] for _, e in factorize(order)), order
         assert all(prod(c) == order for c in chains), order
+
+
+def test_all_abelian_groups_refuses_what_factorize_refuses():
+    for bad, reason in (
+        (0, "cannot factorize 0"),
+        (-1, "cannot factorize -1"),
+        (2.5, "n must be an integer, got 2.5"),
+        (1.0, "n must be an integer, got 1.0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            all_abelian_groups(bad)
+        assert str(err.value) == reason
 
 
 def test_subset_reci_predicate():
@@ -154,6 +167,23 @@ def test_cnr_known_value():
     assert row["left"] == row["right"] == "2299"
     assert report["failures"] == []
     assert set(row["oracle_checked"]) == {"2,2", "6,6"}
+
+
+def test_cnr_oracle_checks_the_sides_within_its_budget():
+    # a side is enumerated iff its multisets number at most ORACLE_BUDGET:
+    # (2, 7, 2) enumerates 2,2 (C(52, 49) candidates), not 7,7 (C(52, 4))
+    assert cnr_reciprocity_check(2, 7, 2)["rows"][0]["oracle_checked"] == ["2,2"]
+    for n in range(1, 8):
+        for m in range(1, 8):
+            for r in (1, 2):
+                if gcd(n, m**r) != gcd(n**r, m):
+                    continue
+                sides = ((n, m**r), (m, n**r))
+                within = [str(GroupSpec.parse(",".join([str(f)] * r)))
+                          for f, size in sides if comb(f**r + size - 1, size) <= ORACLE_BUDGET]
+                report = cnr_reciprocity_check(n, m, r)
+                assert report["rows"][0]["oracle_checked"] == within, (n, m, r)
+                assert report["failures"] == [], (n, m, r)
 
 
 def test_cnr_rank_one_is_plain_reciprocity():

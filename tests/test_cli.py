@@ -389,6 +389,8 @@ def test_precondition_error_exit_2(capsys):
         ("scan reciprocity --max-order -1", "max_order must be >= 1, got -1"),
         ("verify gcp --max-order 0 --primes 4", "max_order must be >= 1, got 0"),
         ("verify gcp --max-order 1 --primes 2,0", "p must be prime, got 0"),
+        ("verify gcp --max-order 2 --primes 2,2",
+         "need at least one prime and no repeats, got (2, 2)"),
     ):
         code, out = invoke(capsys, *shlex.split(argv))
         assert (code, json.loads(out)) == (2, {"error": "ValueError", "reason": reason}), argv

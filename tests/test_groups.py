@@ -19,7 +19,7 @@ from zscomb import (
     normalize_group,
 )
 from zscomb.analysis import all_abelian_groups
-from zscomb.groups import _profile, character_profile
+from zscomb.groups import _minus, _profile, character_profile
 
 small_groups = (
     st.lists(st.integers(1, 12), max_size=4)
@@ -192,6 +192,14 @@ def test_label_roundtrip():
                 for b, db in enumerate(table):
                     assert g.add(a, b) == reduced([x + y for x, y in zip(da, db)])
                     assert g.sub(a, b) == reduced([x - y for x, y in zip(da, db)])
+
+
+def test_minus_tabulates_sub():
+    for order in range(1, 33):
+        for g in all_abelian_groups(order):
+            for target in g.elements():
+                minus = _minus(g.invariant_factors, g.coords(target))
+                assert minus == [g.sub(target, s) for s in g.elements()], (g, target)
 
 
 @given(small_groups, st.data())

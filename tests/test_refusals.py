@@ -14,6 +14,7 @@ from zscomb import (
     pair_bijection,
     reciprocity_bijection,
     translate_complement_bijection,
+    verify_gcp,
 )
 
 C2, C3, C4, C5 = (GroupSpec((n,)) for n in (2, 3, 4, 5))
@@ -52,6 +53,10 @@ CASES = {
         "other group's order 5 must equal p + m = 4"),
     "label-length": (lambda: GroupSpec((2, 4)).label((1,)), "expected 2 coordinates, got 1"),
     "label-range": (lambda: GroupSpec((2, 4)).label((1, 4)), "coordinate 4 out of range mod 4"),
+    "verify_gcp-no-primes": (
+        lambda: verify_gcp(16, ()), "need at least one prime and no repeats, got ()"),
+    "verify_gcp-repeated-prime": (
+        lambda: verify_gcp(2, (2, 2)), "need at least one prime and no repeats, got (2, 2)"),
 }
 
 
