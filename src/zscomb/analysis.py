@@ -74,12 +74,7 @@ def subset_reci_predicate(group: GroupSpec, k: int) -> bool:
     n = group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= {n - 1}, got {k}")
-    fs = group.invariant_factors
-    if n % 2 == 1:
-        return True
-    if len(fs) >= 2 and fs[-2] % 2 == 0:
-        return True
-    return v2(k) < v2(fs[-1])
+    return not group._total or v2(k) < v2(group.invariant_factors[-1])
 
 
 def verify_subset_reciprocity(max_order: int = 16) -> dict:

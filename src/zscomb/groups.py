@@ -112,7 +112,7 @@ class GroupSpec:
     Instances are immutable values: equal chains compare and hash equal.
     """
 
-    __slots__ = ("invariant_factors", "order")
+    __slots__ = ("invariant_factors", "order", "_total")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
         fs = _integers(invariant_factors, "invariant factors")
@@ -121,8 +121,13 @@ class GroupSpec:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"{fs} is not a divisibility chain")
+        order = prod(fs)
         object.__setattr__(self, "invariant_factors", fs)
-        object.__setattr__(self, "order", prod(fs))
+        object.__setattr__(self, "order", order)
+        # label of the sum of all elements, i.e. of the 2-torsion: top/2 on the
+        # top axis when the top factor is the only even one, else 0
+        total = order // 2 if order % 2 == 0 and (len(fs) == 1 or fs[-2] % 2) else 0
+        object.__setattr__(self, "_total", total)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

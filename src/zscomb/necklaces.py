@@ -134,27 +134,25 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     """Map a zero-sum k-subset to the zero-sum (n-k)-subset x + complement.
 
     When the sum of all group elements is zero the plain complement already
-    works and x = 0.  Otherwise that sum is the unique element e of order 2;
-    any x with k*x = e makes the translated complement zero-sum, and the
-    smallest such label is used.  Returns (indicator, x).
+    works and x = 0.  Otherwise that sum is the unique element e of order 2,
+    top/2 on the top axis; any x with k*x = e makes the translated
+    complement zero-sum, and the smallest such label is used.  Returns
+    (indicator, x).
     """
     bits, k = _zero_sum_input(group, bits, subset=True)
     n = group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"subset size {k} must be in [1, {n - 1}]")
     comp = tuple(1 - b for b in bits)
-    e = sequence_sum(group, [1] * n)
-    if e == 0:
+    if not group._total:
         return comp, 0
-    # k*x = e splits into one congruence per axis, and the smallest label
-    # takes the smallest solution digit on every axis.
-    digits = []
-    for e_t, n_t in zip(group.coords(e), group.invariant_factors):
-        a = next((a for a in range(n_t) if k * a % n_t == e_t), None)
-        if a is None:
-            raise ValueError(f"k*x = e has no solution for k = {k} in group {group}")
-        digits.append(a)
-    x = group.label(digits)
+    # k*x = e is k*a = top/2 (mod top) on the top axis and 0 on the others,
+    # so the smallest label takes the smallest such a and zeros below it.
+    top = group.invariant_factors[-1]
+    a = next((a for a in range(top) if k * a % top == top // 2), None)
+    if a is None:
+        raise ValueError(f"k*x = e has no solution for k = {k} in group {group}")
+    x = a * (n // top)
     out = translate(group, comp, x)
     ok = is_zero_sum_by_congruences(group, out)
     _check(ok, "translated complement is zero-sum", order=n, size=k, translation=x)

@@ -87,13 +87,14 @@ def test_subset_reci_predicate():
 
 def test_sum_all_elements_is_zero():
     # inverse pairs cancel, so all elements sum to the sum of the 2-torsion:
-    # zero unless exactly one invariant factor is even (the first two
-    # branches of subset_reci_predicate)
+    # zero unless exactly one invariant factor is even; GroupSpec sets it once
     for order in range(1, 65):
         for g in all_abelian_groups(order):
             fs = g.invariant_factors
             rule = g.order % 2 == 1 or (len(fs) >= 2 and fs[-2] % 2 == 0)
-            assert (sequence_sum(g, (1,) * g.order) == 0) == rule, g
+            total = sequence_sum(g, (1,) * g.order)
+            assert (total == 0) == rule, g
+            assert g._total == total, g
 
 
 def test_verify_subset_reciprocity():

@@ -144,6 +144,19 @@ def test_pair_dimension_matches_enumeration():
                     assert pair_dimension(p, q, m, g) == expected, (p, q, m, g)
 
 
+def test_pair_dimension_matches_the_group_algebra():
+    # a second route that reads no character profile: pairs with sum 0 pair
+    # the length-p multisets of sum s with the m-subsets of sum -s
+    for order in range(1, 25):
+        for g in all_abelian_groups(order):
+            seq, sub = _sum_rows(g, 6, False), _sum_rows(g, order, True)
+            neg = [g.negate(s) for s in g.elements()]
+            for m in range(order + 1):
+                for p in range(7):
+                    expected = sum(seq[p][s] * sub[m][neg[s]] for s in g.elements())
+                    assert pair_dimension(p, order - m, m, g) == expected, (p, m, g)
+
+
 def test_pair_dimension_structure_free_when_coprime():
     # gcd(p, q, m) = 1 collapses the divisor sum to one multinomial term,
     # so the count cannot see the group structure.

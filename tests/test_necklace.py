@@ -213,23 +213,32 @@ def _translate_complement_by_scan(group, bits):
 
 
 def test_translate_complement_matches_label_scan():
+    # every group of order <= 48 and every k with a zero-sum k-subset found
+    # by a seeded search: k - 1 random labels, then the one that closes them
     rng = random.Random(2019)
-    for factors in ((4,), (6,), (8,), (12,), (3, 6), (3, 12), (5, 10), (2, 4), (2, 2, 2)):
-        g = GroupSpec(factors)
+    checked = refused = 0
+    for g in groups_through(2, 48):
         n = g.order
-        found = 0
-        while found < 12:
-            bits = tuple(rng.randint(0, 1) for _ in range(n))
-            if not 1 <= sum(bits) < n or not is_zero_sum(g, bits):
+        for k in range(1, n):
+            for _ in range(20):
+                chosen = rng.sample(range(n), k - 1)
+                last = g.negate(sequence_sum(g, [int(x in chosen) for x in range(n)]))
+                if last not in chosen:
+                    break
+            else:
                 continue
-            found += 1
+            bits = tuple(int(x in chosen or x == last) for x in range(n))
+            assert sum(bits) == k and is_zero_sum(g, bits)
+            checked += 1
             try:
                 expected = _translate_complement_by_scan(g, bits)
             except ValueError:
-                with pytest.raises(ValueError):
+                refused += 1
+                with pytest.raises(ValueError, match="^k\\*x = e has no solution"):
                     translate_complement_bijection(g, bits)
                 continue
             assert translate_complement_bijection(g, bits) == expected
+    assert checked > 1000 and 0 < refused < checked
 
 
 def test_translate_complement_no_solution():

@@ -48,6 +48,9 @@ CASES = {
     "translate-complement-size": (
         lambda: translate_complement_bijection(C4, (0, 0, 0, 0)),
         "subset size 0 must be in [1, 3]"),
+    "translate-complement-no-solution": (
+        lambda: translate_complement_bijection(GroupSpec((6,)), (0, 0, 1, 0, 1, 0)),
+        "k*x = e has no solution for k = 2 in group 6"),
     "pair-other-order": (
         lambda: pair_bijection(C3, C5, (2, 0, 0), (0, 1, 1)),
         "other group's order 5 must equal p + m = 4"),
