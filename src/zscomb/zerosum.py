@@ -13,8 +13,9 @@ of G exactly once, which is what makes the cycle-lemma bijections work.
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd, prod
+from itertools import accumulate, chain, cycle
+from math import gcd
+from operator import mul
 
 from .errors import _check
 from .groups import GroupSpec, _integer, _integers, _label
@@ -41,7 +42,7 @@ def check_indicator(group: GroupSpec, vec) -> tuple[int, ...]:
 def sequence_sum(group: GroupSpec, vec) -> int:
     """Group sum of the multiset encoded by vec, as an element label."""
     vec = check_vector(group, vec)
-    return _label(group.invariant_factors, (_sum_coord(group, vec, a) for a in range(group.rank)))
+    return _label(group.invariant_factors, _sum_digits(group.invariant_factors, vec))
 
 
 def is_zero_sum(group: GroupSpec, vec) -> bool:
@@ -52,7 +53,7 @@ def _zero_sum_input(group: GroupSpec, vec, subset: bool = False) -> tuple[tuple[
     """The checked vector (indicator if subset) of an input that must sum to
     the identity, and its mass: the one entry check of the bijections."""
     vec = check_indicator(group, vec) if subset else check_vector(group, vec)
-    if any(_sum_coord(group, vec, axis) for axis in range(group.rank)):
+    if any(_sum_digits(group.invariant_factors, vec)):
         raise ValueError(f"{'subset' if subset else 'sequence'} does not sum to the identity")
     return vec, sum(vec)
 
@@ -62,27 +63,28 @@ def is_zero_sum_by_congruences(group: GroupSpec, vec) -> bool:
 
     The multiset sums to the identity iff for every axis t the digit totals
     A_t(k) (total multiplicity of the labels whose t-th digit is k) satisfy
-    sum_k k*A_t(k) = 0 (mod n_t).  This is a deliberately separate code path
-    from :func:`sequence_sum`; the test suite checks that the two always agree.
+    sum_k k*A_t(k) = 0 (mod n_t).  Here blocks[j] is the mass of the labels
+    l with l // (n_1*...*n_{t-1}) = j, whose t-th digit is j mod n_t, and
+    runs of n_t blocks sum to the next axis's blocks.  This route shares no
+    helper with the prefix-sum kernel of :func:`sequence_sum`, so the tests
+    comparing the two, and the post-check of translate_complement_bijection,
+    see a slip in either one.
     """
-    vec, unit = check_vector(group, vec), 1
+    blocks = check_vector(group, vec)
     for n_t in group.invariant_factors:
-        totals = [0] * n_t
-        for lab, mult in enumerate(vec):
-            if mult:
-                totals[lab // unit % n_t] += mult
-        if sum(k * a for k, a in enumerate(totals)) % n_t:
+        if sum(map(mul, cycle(range(n_t)), blocks)) % n_t:
             return False
-        unit *= n_t
+        blocks = tuple(map(sum, zip(*[iter(blocks)] * n_t)))
     return True
 
 
-def _sum_coord(group: GroupSpec, vec: tuple[int, ...], axis: int) -> int:
-    """Axis-th coordinate of the group sum of a checked vector: the weighted
-    digit sum sum_l vec[l] * digit_t(l) mod n_t, with no label arithmetic."""
-    n_t = group.invariant_factors[axis]
-    unit = prod(group.invariant_factors[:axis])
-    return sum(mult * (lab // unit % n_t) for lab, mult in enumerate(vec) if mult) % n_t
+def _sum_digits(ns: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Digits of the group sum of a checked vector, from one prefix-sum pass:
+    with u = n_1*...*n_{t-1}, digit t is sum_l vec[l] * (l // u) mod n_t, and
+    that total is sum_{0<j<n/u} (mass - pre[j*u]), one strided slice sum."""
+    n, pre = len(vec), list(accumulate(vec, initial=0))
+    units = accumulate(ns, mul, initial=1)
+    return tuple(((n // u - 1) * pre[n] - sum(pre[u:n:u])) % n_t for n_t, u in zip(ns, units))
 
 
 def cyclic_shift(vec, l: int):
@@ -142,19 +144,17 @@ def target_sum_shift(group: GroupSpec, vec, target: int) -> tuple[int, tuple[int
     """
     vec = check_vector(group, vec)
     goal = group.coords(target)
-    n = group.order
+    ns, n = group.invariant_factors, group.order
     mass = sum(vec)
     if gcd(mass, n) != 1:
         raise ValueError(f"mass {mass} is not coprime to group order {n}")
-    out = vec
-    shift = 0
-    unit = 1
-    for axis, n_t in enumerate(group.invariant_factors):
-        l_t = (_sum_coord(group, out, axis) - goal[axis]) * pow(mass, -1, n_t) % n_t
+    out, shift, unit = vec, 0, 1
+    for axis, n_t in enumerate(ns):
+        l_t = (_sum_digits(ns, out)[axis] - goal[axis]) * pow(mass, -1, n_t) % n_t
         out = cyclic_shift(out, l_t * unit)
         shift += l_t * unit
         unit *= n_t
-    reached = all(_sum_coord(group, out, axis) == a for axis, a in enumerate(goal))
+    reached = _sum_digits(ns, out) == goal
     _check(reached, "staged shift reaches the target sum", target=target, mass=mass, shift=shift)
     return shift, out
 

@@ -1,6 +1,7 @@
 """CLI grammar, golden outputs, and exit codes."""
 
 import doctest
+import importlib
 import json
 import math
 import os
@@ -596,6 +597,41 @@ def test_invariant_check_survives_optimize_flag():
     proc = _python("-O", "-c", script)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["error"] == "InvariantError"
+
+
+# Each post-check is made to fail by a step that goes one place too far, so
+# the group-sum kernel the check reads stays untouched.
+BROKEN_STEPS = [
+    (
+        "zerosum", "cyclic_shift", "lambda vec, l: real(vec, l + 1)",
+        "biject complement --group 7 --subset 0,1,0,0,0,0,1",
+        "staged shift reaches the target sum",
+    ),
+    (
+        "necklaces", "translate", "lambda group, vec, g: real(group, vec, (g + 1) % group.order)",
+        "biject translate-complement --group 4 --subset 1,0,0,0",
+        "translated complement is zero-sum",
+    ),
+]
+
+
+@pytest.mark.parametrize("module,attr,broken,line,check", BROKEN_STEPS, ids=["staged-shift", "translate"])
+def test_broken_step_fails_its_post_check(capsys, monkeypatch, module, attr, broken, line, check):
+    home = importlib.import_module(f"zscomb.{module}")
+    monkeypatch.setattr(home, attr, eval(broken, {"real": getattr(home, attr)}))
+    code, out = invoke(capsys, *line.split())
+    assert (code, json.loads(out)["error"], json.loads(out)["check"]) == (3, "InvariantError", check)
+    script = (
+        "import sys\n"
+        f"from zscomb import {module}\n"
+        f"real = {module}.{attr}\n"
+        f"{module}.{attr} = {broken}\n"
+        "from zscomb.cli import run\n"
+        f"sys.exit(run({line.split()!r}))\n"
+    )
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 3, proc.stderr
+    assert (json.loads(proc.stdout)["error"], json.loads(proc.stdout)["check"]) == ("InvariantError", check)
 
 
 def test_closed_stdout_exits_4_without_traceback():

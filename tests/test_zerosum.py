@@ -1,6 +1,7 @@
 """Vector sums, rotations, and the staged shift constructions."""
 
 import random
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -25,6 +26,8 @@ from zscomb import (
     translate_complement_bijection,
     zero_sum_shift,
 )
+from zscomb.analysis import _groups_up_to
+from zscomb.zerosum import _zero_sum_input
 
 small_groups = (
     st.lists(st.integers(2, 9), max_size=3)
@@ -62,6 +65,59 @@ def test_vector_validation():
 def test_two_sum_paths_agree(g, data):
     vec = data.draw(vectors_over(g))
     assert is_zero_sum(g, vec) == is_zero_sum_by_congruences(g, vec)
+
+
+def _sum_by_fold(group, vec):
+    """Reference: the group sum as a fold of GroupSpec.add over the labels."""
+    return reduce(group.add, (group.scalar_mul(m, lab) for lab, m in enumerate(vec)), 0)
+
+
+def _gate_passes(group, vec, subset):
+    try:
+        _zero_sum_input(group, vec, subset)
+    except ValueError as exc:
+        assert str(exc) == f"{'subset' if subset else 'sequence'} does not sum to the identity"
+        return False
+    return True
+
+
+def test_sum_routes_agree_on_zero_sums_and_near_misses():
+    # Random vectors almost never sum to zero, so build zero-sum ones with
+    # zero_sum_shift (multiplicities above every factor, and subsets), then
+    # move one unit to another label for a near-miss that cannot sum to zero.
+    rng = random.Random(20)
+    zero_sums = near_misses = 0
+    for g in _groups_up_to(64):
+        n, top = g.order, max(g.invariant_factors, default=1)
+        for subset in (False, False, False, True):
+            if subset:
+                vec = [rng.randint(0, 1) for _ in range(n)]
+            else:
+                vec = [rng.randint(0, 2 * top + 2) for _ in range(n)]
+                vec[rng.randrange(n)] = top + 1 + rng.randrange(top)
+            while gcd(sum(vec), n) != 1:
+                if subset:
+                    vec[rng.randrange(n)] ^= 1
+                else:
+                    vec[0] += 1
+            zero = zero_sum_shift(g, vec)[1]
+            cases = [(zero, True)]
+            if n > 1:
+                a = rng.choice([lab for lab, m in enumerate(zero) if m])
+                free = [lab for lab in range(n) if lab != a and not (subset and zero[lab])]
+                if free:
+                    miss = list(zero)
+                    miss[a] -= 1
+                    miss[rng.choice(free)] += 1
+                    cases.append((tuple(miss), False))
+            for vec, expect in cases:
+                assert sequence_sum(g, vec) == _sum_by_fold(g, vec), (g, vec)
+                assert is_zero_sum(g, vec) is expect
+                assert is_zero_sum_by_congruences(g, vec) is expect
+                assert _gate_passes(g, vec, subset) is expect
+                zero_sums += expect
+                near_misses += not expect
+    assert zero_sums > 400 and near_misses > 400
 
 
 @given(small_groups, st.data())
