@@ -27,8 +27,7 @@ ORACLE_BUDGET = 200_000
 
 def v2(m: int) -> int:
     """2-adic valuation: the largest t with 2^t dividing m; m >= 1."""
-    if type(m) is not int:
-        m = _integer(m, "m")
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"v2 needs m >= 1, got {m}")
     return (m & -m).bit_length() - 1
@@ -69,12 +68,11 @@ def subset_reci_predicate(group: GroupSpec, k: int) -> bool:
     even, or v2(k) < v2(n_r).  For even-order groups failing the first two
     conditions the counts genuinely differ whenever v2(k) >= v2(n_r).
     """
-    if type(k) is not int:
-        k = _integer(k, "k")
-    n = group.order
+    k, n = _integer(k, "k"), group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= {n - 1}, got {k}")
-    return not group._total or v2(k) < v2(group.invariant_factors[-1])
+    top = group.invariant_factors[-1]  # k & -k is 2^v2(k), with no call per row
+    return not group._total or k & -k < top & -top
 
 
 def verify_subset_reciprocity(max_order: int = 16) -> dict:

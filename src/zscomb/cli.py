@@ -13,9 +13,10 @@ Grammar (flags live on the leaf subcommands):
 Exit codes: 0 success, 1 a verification report contains failures, 2 usage
 or precondition error, 3 an internal check failed (a broken invariant or an
 inexact division; the JSON names it), 4 stdout was closed before the output
-was written (the JSON error goes to stderr).  Counts are emitted as decimal
-strings.  `--limit` (the enumeration budget) exists on the leaves that
-enumerate; the ZSCOMB_LIMIT environment variable sets its default.
+was written (the JSON error goes to stderr), 5 a size does not fit in memory
+or in a machine index (MemoryError, OverflowError).  Counts are emitted as
+decimal strings.  `--limit` (the enumeration budget) exists on the leaves
+that enumerate; the ZSCOMB_LIMIT environment variable sets its default.
 """
 
 from __future__ import annotations
@@ -216,6 +217,8 @@ def run(argv=None) -> int:
         payload.update(check=exc.check, context=exc.context)
     except ExactDivisionError as exc:
         payload, code = {"error": "ExactDivisionError", "reason": str(exc)}, 3
+    except (MemoryError, OverflowError) as exc:
+        payload, code = {"error": type(exc).__name__, "reason": str(exc) or "out of memory"}, 5
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)

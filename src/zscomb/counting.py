@@ -8,15 +8,16 @@ target by reading its profile) and then runs the unchecked sum,
 a whole table's inputs once and fills its rows from one binomial column per
 divisor.  :func:`exact_div` turns any non-exact division into a loud error
 as each value is a cardinality.  Every binomial is :func:`binomial`:
-``math.comb`` below a cutoff, above it a product of prime powers.  Table
+``math.comb`` below a cutoff, above it :func:`prime_power_binomial`.  Table
 columns, and so the verifiers' rows, come from the recurrence of
 :func:`binomial_row`.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
-from operator import index
+from itertools import compress
+from math import comb, gcd, isqrt
+from operator import index, mul
 
 from .errors import ExactDivisionError
 from .groups import GroupSpec, _integer, _integers, character_profile
@@ -47,8 +48,34 @@ def binomial(n: int, k: int) -> int:
     j = min(k, n - k)
     if j < _COMB_CUTOFF or j * j < 256 * n:
         return comb(n, k)
-    from ._prime_powers import prime_power_binomial  # compiled on first use only
     return prime_power_binomial(index(n), index(k))
+
+
+def prime_power_binomial(n: int, k: int) -> int:
+    """C(n, k), 0 <= k <= n, as the product of p^e over the primes p <= n, e by
+    Legendre's formula, multiplied in a balanced pairwise tree."""
+    k, r = min(k, n - k), isqrt(n)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, r + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    powers = []
+    for p in compress(range(r + 1), sieve[: r + 1]):
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        powers.append(p**e)
+    # Each prime p > sqrt(n) divides C(n, k) once if n % p < k % p, else not at
+    # all: never for n/2 < p <= n - k, always for p > n - k.
+    h = max(r, n // 2)
+    powers += [p for p in compress(range(r + 1, h + 1), sieve[r + 1 : h + 1]) if n % p < k % p]
+    powers += compress(range(n - k + 1, n + 1), sieve[n - k + 1 :])
+    while len(powers) > 1:
+        if len(powers) % 2:
+            powers.append(1)
+        powers = list(map(mul, powers[::2], powers[1::2]))
+    return powers[0] if powers else 1
 
 
 def binomial_row(n: int, top: int) -> list[int]:
@@ -89,8 +116,7 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
 
 def _check_shape(a: int, b: int) -> None:
     """The (a, b) of a rational Catalan number or Dyck path: coprime, both >= 1."""
-    if type(a) is not int or type(b) is not int:
-        a, b = _integer(a, "a"), _integer(b, "b")
+    a, b = _integer(a, "a"), _integer(b, "b")
     if a < 1 or b < 1:
         raise ValueError(f"need a, b >= 1, got ({a}, {b})")
     if gcd(a, b) != 1:

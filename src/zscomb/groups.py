@@ -57,14 +57,15 @@ def mobius(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if type(n) is not int:
-        n = _integer(n, "n")
+    n = _integer(n, "n")
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def _integer(value, what: str) -> int:
-    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; each
-    entry point calls it once, per-row checks only off the plain-int path."""
+    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; a
+    plain int returns at once, so per-row checks cost one call."""
+    if type(value) is int:
+        return value
     try:
         return index(value)
     except TypeError:
@@ -180,8 +181,7 @@ class GroupSpec:
 
     def check_label(self, label: int) -> int:
         """Return label as an int if it names an element; raise ValueError if not."""
-        if type(label) is not int:
-            label = _integer(label, "label")
+        label = _integer(label, "label")
         if not 0 <= label < self.order:
             raise ValueError(f"label {label} out of range for order {self.order}")
         return label
@@ -189,8 +189,7 @@ class GroupSpec:
     def check_size(self, size: int, subset: bool = False, capped: bool = True) -> int:
         """Return size as an int if it is a multiset length, or if subset a
         subset size: at most the order unless not capped."""
-        if type(size) is not int:
-            size = _integer(size, "subset size" if subset else "length")
+        size = _integer(size, "subset size" if subset else "length")
         if subset and capped and not 0 <= size <= self.order:
             raise ValueError(f"subset size {size} out of range for order {self.order}")
         if size < 0:

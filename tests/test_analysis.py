@@ -18,7 +18,9 @@ from zscomb import (
     verify_gcp,
     verify_subset_reciprocity,
 )
+from zscomb import analysis
 from zscomb.analysis import ORACLE_BUDGET
+from zscomb.cli import run
 from zscomb.groups import factorize
 
 
@@ -233,3 +235,74 @@ def test_reports_are_deterministic_json():
     a = json.dumps(reciprocity_scan(6), sort_keys=True)
     b = json.dumps(reciprocity_scan(6), sort_keys=True)
     assert a == b
+
+
+def _bump(real, group, by, at=()):
+    """real with one wrong count: `by` is added to its answer (to the cell
+    `at` of a table) when it is called on the named group."""
+
+    def wrong(g, *args, **kwargs):
+        out = real(g, *args, **kwargs)
+        if str(g) != group:
+            return out
+        if at:
+            out[at[0]][at[1]] += by
+            return out
+        return out + by
+
+    return wrong
+
+
+# (name analysis imports, its wrong version, the report, the CLI leaf, the
+# failures the report must list: every failure row a verifier can build)
+INJECTED = {
+    "subset-reci-predicate": (
+        "subset_reci_predicate", lambda real: lambda g, k: real(g, k) != (str(g) == "4" and k == 2),
+        lambda: verify_subset_reciprocity(4), "verify subset-reci --max-order 4",
+        [{"group": "4", "k": 2, "count_k": "1", "count_nk": "1", "predicate": False,
+          "reason": "predicate mismatch"}]),
+    "subset-reci-direction": (
+        "pair_count_table", lambda real: _bump(real, "3,6", -2, at=(0, 16)),
+        lambda: verify_subset_reciprocity(18), "verify subset-reci --max-order 18",
+        [{"group": "3,6", "k": 2, "count_k": "8", "count_nk": "7", "predicate": False,
+          "reason": "wrong inequality direction"},
+         {"group": "3,6", "k": 16, "count_k": "7", "count_nk": "8", "predicate": False,
+          "reason": "wrong inequality direction"}]),
+    "gcp": (
+        "count_sequences", lambda real: _bump(_bump(real, "3", 1), "2,2", -2),
+        lambda: verify_gcp(4, (2,)), "verify gcp --max-order 4 --primes 2",
+        [{"group": "3", "p": 2, "left": "3", "right": "2", "predicate": True,
+          "reason": "predicate mismatch"},
+         {"group": "2,2", "p": 2, "left": "2", "right": "3", "predicate": False,
+          "reason": "expected strict left > right"}]),
+    "cnr-oracle": (
+        "enum_sequences", lambda real: _bump(real, "3", [()]),
+        lambda: cnr_reciprocity_check(2, 3, 1), "verify cnr --n 2 --m 3 --r 1",
+        [{"group": "3", "size": 2, "formula": "2", "oracle": "3"}]),
+    "cnr-sides": (
+        "count_sequences", lambda real: _bump(real, "4", 1),
+        lambda: cnr_reciprocity_check(2, 4, 1), "verify cnr --n 2 --m 4 --r 1",
+        [{"group": "4", "size": 2, "formula": "4", "oracle": "3"},
+         {"n": 2, "m": 4, "r": 1, "left": "3", "right": "4", "oracle_checked": ["2", "4"],
+          "reason": "sides differ"}]),
+    "cnr-catalan": (
+        "rational_catalan", lambda real: lambda a, b: real(a, b) + 1,
+        lambda: cnr_reciprocity_check(2, 3, 1), "verify cnr --n 2 --m 3 --r 1",
+        [{"n": 2, "m": 3, "r": 1, "left": "2", "right": "2", "oracle_checked": ["2", "3"],
+          "catalan": "3", "reason": "coprime case missed Catalan value"}]),
+    "scan": (
+        "pair_count_table", lambda real: _bump(real, "2", 1, at=(3, 0)),
+        lambda: reciprocity_scan(3), "scan reciprocity --max-order 3",
+        [{"group": "2", "other": "3", "left": "3", "right": "2", "equal": False,
+          "coprime_orders": True, "reason": "coprime pair must agree"}]),
+}
+
+
+@pytest.mark.parametrize("name, fake, report, argv, failures", INJECTED.values(), ids=INJECTED)
+def test_a_wrong_count_shows_as_a_failure_row(
+    monkeypatch, capsys, name, fake, report, argv, failures
+):
+    monkeypatch.setattr(analysis, name, fake(getattr(analysis, name)))
+    assert report()["failures"] == failures
+    assert run(argv.split()) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == failures

@@ -599,6 +599,22 @@ def test_invariant_check_survives_optimize_flag():
     assert json.loads(proc.stdout)["error"] == "InvariantError"
 
 
+def test_failure_row_exits_1_under_optimize_flag():
+    # tests/test_analysis.py reaches every verifier's failure rows in process
+    script = (
+        "import sys\n"
+        "from zscomb import analysis\n"
+        "real = analysis.rational_catalan\n"
+        "analysis.rational_catalan = lambda a, b: real(a, b) + 1\n"
+        "from zscomb.cli import run\n"
+        "sys.exit(run(['verify', 'cnr', '--n', '2', '--m', '3', '--r', '1']))\n"
+    )
+    proc = _python("-O", "-c", script)
+    assert proc.returncode == 1, proc.stderr
+    [failure] = json.loads(proc.stdout)["failures"]
+    assert (failure["catalan"], failure["reason"]) == ("3", "coprime case missed Catalan value")
+
+
 # Each post-check is made to fail by a step that goes one place too far, so
 # the group-sum kernel the check reads stays untouched.
 BROKEN_STEPS = [
@@ -656,3 +672,25 @@ def test_closed_stdout_exits_4_without_traceback():
         "error": "BrokenPipeError",
         "reason": "stdout was closed early",
     }
+
+
+# The child caps its own address space at 1 GiB before it builds the table.
+CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "sys.argv = ['zscomb', 'poincare', 'table', '--group', '2', '--max-s', '0', '--max-t', {!r}]\n"
+    "from zscomb.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("max_t, error, reason", [
+    ("1000000000000", "MemoryError", "out of memory"),
+    ("100000000000000000000", "OverflowError", "cannot fit 'int' into an index-sized integer"),
+])
+def test_size_past_memory_exits_5_without_traceback(max_t, error, reason):
+    proc = _python("-c", CAPPED_MAIN.format(max_t))
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout) == {"error": error, "reason": reason}

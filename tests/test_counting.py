@@ -22,8 +22,7 @@ from zscomb import (
     subsets_by_sum,
 )
 from zscomb import groups, zerosum
-from zscomb._prime_powers import prime_power_binomial
-from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row
+from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row, prime_power_binomial
 from zscomb.poincare import _sum_rows
 
 

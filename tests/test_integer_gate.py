@@ -9,6 +9,7 @@ from zscomb import (
     character_sum,
     cnr_reciprocity_check,
     count_elements_of_order,
+    count_sequences,
     cyclic_shift,
     divisors,
     enum_dyck,
@@ -20,6 +21,7 @@ from zscomb import (
     is_prime,
     mobius,
     multinomial,
+    rational_catalan,
     sequences_by_sum,
     subset_reci_predicate,
     subsets_by_sum,
@@ -80,3 +82,29 @@ def test_a_float_never_hits_a_cached_int():
     for call in (lambda: divisors(6.0), lambda: mobius(6.0), lambda: factorize(7.0)):
         with pytest.raises(ValueError, match="^n must be an integer, got "):
             call()
+
+
+class Int(int):
+    """An int subclass: not a plain int, so it must go through ``__index__``."""
+
+
+# Every site that once tested for a plain int before calling the gate: a call
+# and the plain ints it is tried at; True stands for 1.
+EDGES = {
+    "is_prime": (is_prime, (1, 7, 9)),
+    "coords": (G.coords, (1, 6)),
+    "count_sequences": (lambda m: count_sequences(G, m), (1, 4)),
+    "rational_catalan-a": (lambda a: rational_catalan(a, 5), (1, 3)),
+    "rational_catalan-b": (lambda b: rational_catalan(3, b), (1, 4)),
+    "v2": (v2, (1, 12)),
+    "subset_reci_predicate": (lambda k: subset_reci_predicate(GroupSpec((12,)), k), (1, 4, 6)),
+}
+
+
+@pytest.mark.parametrize("call, values", EDGES.values(), ids=EDGES)
+def test_bools_and_int_subclasses_answer_as_the_plain_int(call, values):
+    answers = [(value, call(value)) for value in values]
+    assert call(True) == answers[0][1] and type(call(True)) is type(answers[0][1])
+    for value, want in answers:
+        got = call(Int(value))
+        assert got == want and type(got) is type(want), value
