@@ -12,8 +12,6 @@ Counts inside reports are decimal strings so arbitrary-precision values
 survive any JSON consumer.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .brute import enum_sequences

@@ -9,8 +9,6 @@ O(|G| * rank); budgets (`errors.py`) charge the full candidate space before
 any work, which bounds the walk.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, repeat
 from math import comb
@@ -105,12 +103,11 @@ def enum_pairs(
     goal, n = group.coords(target), group.order
     p, k = group.check_size(p), group.check_size(k, subset=True)
     _check_budget(comb(n + p - 1, p) * comb(n, k), limit)
-    by_sum: dict[int, list] = {}
-    for labels, t in zip(*_candidates(group, k, True, n)):
-        by_sum.setdefault(t, []).append(_to_multiplicity(n, labels))
     # the subsets of sum t pair with the multisets of sum target - t
     need = _minus(group.invariant_factors, goal)
-    partners = {need[t]: subs for t, subs in by_sum.items()}
+    partners: dict[int, list] = {}
+    for labels, t in zip(*_candidates(group, k, True, n)):
+        partners.setdefault(need[t], []).append(_to_multiplicity(n, labels))
     out = []
     for labels, s in zip(*_candidates(group, p, False, n)):
         out += zip(repeat(_to_multiplicity(n, labels)), partners.get(s, ()))

@@ -19,8 +19,6 @@ decimal strings.  `--limit` (the enumeration budget) exists on the leaves
 that enumerate; the ZSCOMB_LIMIT environment variable sets its default.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

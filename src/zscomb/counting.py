@@ -2,18 +2,16 @@
 
 One divisor sum over the target's memoised character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
-subsets are its two edges.  Each public count checks its inputs once (the
-target by reading its profile) and then runs the unchecked sum,
-`_pair_count`; :func:`pair_count_table` checks
-a whole table's inputs once and fills its rows from one binomial column per
-divisor.  :func:`exact_div` turns any non-exact division into a loud error
-as each value is a cardinality.  Every binomial is :func:`binomial`:
-``math.comb`` below a cutoff, above it :func:`prime_power_binomial`.  Table
-columns, and so the verifiers' rows, come from the recurrence of
-:func:`binomial_row`.
+subsets are its two edges, and :func:`pair_dimension` is the pair count at
+target 0.  Each public count checks its inputs once (the target by reading
+its profile) and then runs the unchecked sum, `_pair_count`, which calls
+``math.comb`` itself while both sizes are below the cutoff of :func:`binomial`
+(past it, :func:`prime_power_binomial`).  :func:`pair_count_table` checks a
+whole table's inputs once; its subset columns, one per divisor, come from the
+recurrence of :func:`binomial_row`, its multiset factors from a recurrence of
+their own.  :func:`exact_div` turns any non-exact division into a loud error
+as each value is a cardinality.
 """
-
-from __future__ import annotations
 
 from itertools import compress
 from math import comb, gcd, isqrt
@@ -131,25 +129,18 @@ def rational_catalan(a: int, b: int) -> int:
 
 def pair_dimension(p: int, q: int, m: int, group: GroupSpec) -> int:
     """Number of pairs (length-p multiset A, m-subset B) over the group with
-    sum(A) + sum(B) = 0, for a group of order q + m.
-
-    Equals (1/(p+q+m)) * sum over d | gcd(p, q, m) of
-        (-1)^(m + m/d) * count_elements_of_order(d)
-        * multinomial((p+q+m)/d; p/d, q/d, m/d),
-    which reduces to multinomial(p+q+m; p,q,m)/(p+q+m) when gcd(p,q,m) = 1.
+    sum(A) + sum(B) = 0, for a group of order q + m: equal, term by term, to
+    ``count_pairs_coefficient(group, 0, p, m)`` and to the paper's formula
+    (1/(p+q+m)) * sum over d | gcd(p, q, m) of (-1)^(m + m/d)
+        * count_elements_of_order(d) * M((p+q+m)/d; p/d, q/d, m/d),
+    M the multinomial coefficient: M(p+q+m; p,q,m)/(p+q+m) when gcd(p,q,m) = 1.
     """
     p, q, m = _integer(p, "p"), _integer(q, "q"), _integer(m, "m")
     if min(p, q, m) < 0 or p + q + m < 1:
         raise ValueError(f"need p, q, m >= 0 and p+q+m >= 1, got {(p, q, m)}")
     if group.order != q + m:
         raise ValueError(f"group order {group.order} must equal q + m = {q + m}")
-    total = 0
-    for d, phi in character_profile(group, 0):  # phi: elements of order d
-        if p % d == 0 and m % d == 0:  # d divides q + m, so also q
-            sign = -1 if (m + m // d) % 2 else 1
-            s = (p + q + m) // d
-            total += sign * phi * multinomial(s, p // d, q // d, m // d)
-    return exact_div(total, p + q + m)
+    return _pair_count(group, character_profile(group, 0), p, m)
 
 
 def count_pairs_coefficient(group: GroupSpec, target: int, p: int, k: int) -> int:

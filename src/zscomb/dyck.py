@@ -12,8 +12,6 @@ All diagonal comparisons are the integer test a*y >= b*x, so no floating
 point is involved anywhere.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 
 from .counting import _check_shape, rational_catalan

@@ -10,8 +10,6 @@ significant factor first:
 The unchecked `_digits` and `_label` are the one place labels are encoded.
 """
 
-from __future__ import annotations
-
 from functools import cache, lru_cache
 from math import gcd, lcm, prod
 from operator import add, index, neg, sub

@@ -14,8 +14,6 @@ reads its necklace a bounded number of times and rotates by the staged
 shift, so each runs in time linear in |G| + mass.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from operator import add
 

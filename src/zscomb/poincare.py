@@ -21,8 +21,6 @@ no formula with them: the product over x in G of 1/(1 - s[x])(1 + t[x]),
 multiplied out in the group algebra Z[G] without characters or enumeration.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from math import comb
 from operator import add, mul

@@ -11,8 +11,6 @@ gcd(w, n) = 1, the group sum of the n rotations runs through every element
 of G exactly once, which is what makes the cycle-lemma bijections work.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, chain, cycle
 from math import gcd
 from operator import mul

@@ -74,6 +74,8 @@ def test_groupspec_value_contract():
     assert repr(GroupSpec(())) == "GroupSpec(invariant_factors=())"
     with pytest.raises(AttributeError):
         g.invariant_factors = (8,)
+    with pytest.raises(AttributeError, match=r"^cannot delete field 'order'$"):
+        del g.order
     assert g.invariant_factors == (2, 4) and g.order == 8
     for orig in (g, GroupSpec((3, 3, 9)), GroupSpec(())):
         for copy in (pickle.loads(pickle.dumps(orig)), deepcopy(orig)):

@@ -152,6 +152,7 @@ def test_cyclic_shift_is_left_rotation():
     assert cyclic_shift((1, 2, 3, 4), 1) == (2, 3, 4, 1)
     assert cyclic_shift((1, 2, 3, 4), 0) == (1, 2, 3, 4)
     assert cyclic_shift((1, 2, 3, 4), 6) == (3, 4, 1, 2)
+    assert cyclic_shift((), 5) == ()
 
 
 @pytest.mark.parametrize(
