@@ -17,7 +17,7 @@ from math import gcd
 from .brute import enum_sequences
 from .counting import count_sequences, pair_count_table, rational_catalan
 from .errors import EnumerationLimitError
-from .groups import GroupSpec, _integer, divisors, is_prime, normalize_group
+from .groups import GroupSpec, _decimal, _integer, divisors, is_prime, normalize_group
 
 # Enumeration is only consulted when the candidate space is this small.
 ORACLE_BUDGET = 200_000
@@ -180,25 +180,25 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
             oracle = len(enum_sequences(group, size, 0, limit=ORACLE_BUDGET))
         except EnumerationLimitError:
             continue  # over budget: closed form only
-        oracle_checked.append(str(group))
+        oracle_checked.append(name := str(group))
         if oracle != count:
             failures.append(
-                {"group": str(group), "size": size, "formula": str(count), "oracle": str(oracle)}
+                {"group": name, "size": size, "formula": _decimal(count), "oracle": str(oracle)}
             )
     left, right = counts
     row = {
         "n": n,
         "m": m,
         "r": r,
-        "left": str(left),
-        "right": str(right),
+        "left": _decimal(left),
+        "right": _decimal(right),
         "oracle_checked": oracle_checked,
     }
     if left != right:
         failures.append({**row, "reason": "sides differ"})
     if gcd(n**r, m**r) == 1:
         cat = rational_catalan(n**r, m**r)
-        row["catalan"] = str(cat)
+        row["catalan"] = _decimal(cat)
         if left != cat:
             failures.append({**row, "reason": "coprime case missed Catalan value"})
     return _report("cnr", [row], failures)

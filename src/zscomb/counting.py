@@ -7,10 +7,10 @@ target 0.  Each public count checks its inputs once (the target by reading
 its profile) and then runs the unchecked sum, `_pair_count`, which calls
 ``math.comb`` itself while both sizes are below the cutoff of :func:`binomial`
 (past it, :func:`prime_power_binomial`).  :func:`pair_count_table` checks a
-whole table's inputs once; its subset columns, one per divisor, come from the
-recurrence of :func:`binomial_row`, its multiset factors from a recurrence of
-their own.  :func:`exact_div` turns any non-exact division into a loud error
-as each value is a cardinality.
+whole table's inputs once and fills it divisor by divisor: one signed subset
+column from the recurrence of :func:`binomial_row`, added into rows 0, d, 2d,
+... times a running factor chi * C(n/d + i - 1, i).  :func:`exact_div` turns
+any non-exact division into a loud error as each value is a cardinality.
 """
 
 from itertools import compress
@@ -18,13 +18,13 @@ from math import comb, gcd, isqrt
 from operator import index, mul
 
 from .errors import ExactDivisionError
-from .groups import GroupSpec, _integer, _integers, character_profile
+from .groups import GroupSpec, _decimal, _integer, _integers, character_profile
 
 
 def exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ExactDivisionError(f"{num} is not divisible by {den}")
+        raise ExactDivisionError(f"{_decimal(num)} is not divisible by {_decimal(den)}")
     return q
 
 
@@ -175,33 +175,26 @@ def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> l
     """Rows p = 0..max_s of ``count_pairs_coefficient(group, target, p, k)``
     for k = 0..max_t, with the inputs checked once for the whole table.
 
-    Each divisor d of the profile gives one column, its nonzero entries
-    (-1)^(k + k/d) * C(n/d, k/d) at d | k <= n; row p adds, for each d
-    dividing p, that column times character_sum(target, d) * C(n/d + p/d - 1, p/d).
+    Each divisor d of the profile adds one signed column, nonzero entries
+    (-1)^(k + k/d) * C(n/d, k/d) at d | k <= n, into rows p = d*i, i = 0, 1, ...,
+    times character_sum(target, d) * C(n/d + i - 1, i); each row then divides by n.
     """
     profile = character_profile(group, target)  # checks the target
     max_s = group.check_size(max_s)
     max_t = group.check_size(max_t, subset=True, capped=False)
     n, top = group.order, min(max_t, group.order)
-    columns = []
+    rows = [[0] * (max_t + 1) for _ in range(max_s + 1)]
     for d, chi in profile:
         nd = n // d
         col = [
             (k, -c if (k + k // d) % 2 else c)
             for k, c in zip(range(0, top + 1, d), binomial_row(nd, top // d))
         ]
-        factors, f = [], chi  # chi * C(nd + i - 1, i) for d * i <= max_s
-        for i in range(max_s // d + 1):
-            factors.append(f)
+        f = chi  # chi * C(nd + i - 1, i) for row p = d * i
+        for i, row in enumerate(rows[::d]):
+            for k, c in col:
+                row[k] += f * c
             f = f * (nd + i) // (i + 1)
-        columns.append((d, factors, col))
-    rows = []
-    for p in range(max_s + 1):
-        row = [0] * (max_t + 1)
-        for d, factors, col in columns:
-            if p % d == 0:
-                f = factors[p // d]
-                for k, c in col:
-                    row[k] += f * c
-        rows.append(exact_div_row(row, n))
+    for row in rows:
+        row[:] = exact_div_row(row, n)
     return rows

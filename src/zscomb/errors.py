@@ -2,7 +2,7 @@
 
 import os
 
-from .groups import _integer
+from .groups import _decimal, _integer
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -24,7 +24,8 @@ class EnumerationLimitError(RuntimeError):
         self.candidates, self.limit = candidates, limit
 
     def __str__(self) -> str:
-        return f"{self.candidates} candidates exceed the enumeration limit {self.limit}"
+        count, limit = _decimal(self.candidates), _decimal(self.limit)
+        return f"{count} candidates exceed the enumeration limit {limit}"
 
 
 def default_limit() -> int:

@@ -80,6 +80,15 @@ def _integers(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _decimal(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported only here: it costs ~2 ms
+        return str(Decimal(n))
+
+
 def _digits(ns: tuple[int, ...], label: int) -> tuple[int, ...]:
     """Mixed-radix digits of a label already known to be in range."""
     out = []

@@ -10,11 +10,11 @@ variables (s tracks multiset size, t tracks subset size):
 
 Every table is computed twice, and the two must agree before it is
 returned.  The closed route, :func:`counting.pair_count_table`, checks the
-target and both bounds once per table and fills each row from one binomial
-column per divisor of the closed formula.  The series route expands the sum
-above, truncated, with its own binomials, signs and character sums (from
-`character_sum`, not the memoised profile), so the agreement check compares
-two tables that were built separately.
+target and both bounds once per table and adds one signed subset column per
+divisor of the memoised profile into every d-th row.  The series route
+expands the sum above, truncated, with its own binomials, signs and character
+sums (from `character_sum`, not the memoised profile), so the agreement check
+compares two tables that were built separately.
 
 :func:`series_cross_check` compares a table with a third route that shares
 no formula with them: the product over x in G of 1/(1 - s[x])(1 + t[x]),
@@ -27,7 +27,7 @@ from operator import add, mul
 
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
-from .groups import GroupSpec, _digits, _minus, character_sum, divisors
+from .groups import GroupSpec, _decimal, _digits, _minus, character_sum, divisors
 from .zerosum import _translate
 
 
@@ -54,7 +54,7 @@ class CoeffTable:
         return {
             "group": str(self.group),
             "target": self.target,
-            "coeffs": [[str(c) for c in row] for row in self.coeffs],
+            "coeffs": [list(map(_decimal, row)) for row in self.coeffs],
         }
 
 
@@ -118,7 +118,9 @@ def series_cross_check(group: GroupSpec, target: int, max_s: int, max_t: int) ->
         for k, formula in enumerate(table.coeffs[p]):
             oracle = sum(map(mul, seq, subs[k])) if k < len(subs) else 0
             if oracle != formula:
-                failures.append({"p": p, "k": k, "formula": str(formula), "oracle": str(oracle)})
+                failures.append(
+                    {"p": p, "k": k, "formula": _decimal(formula), "oracle": _decimal(oracle)}
+                )
     row = {
         "group": str(group),
         "target": target,

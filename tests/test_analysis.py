@@ -1,6 +1,7 @@
 """Predicates, verifiers, and the group-pair scan."""
 
 import json
+from decimal import Decimal
 from math import comb, gcd, prod
 
 import pytest
@@ -201,6 +202,12 @@ def test_cnr_coprime_case_carries_catalan():
     row = report["rows"][0]
     assert report["failures"] == []
     assert row["catalan"] == row["left"]
+    # counts past the default int-to-str digit limit of 4300 report in full
+    report = cnr_reciprocity_check(20, 21, 3)
+    row = report["rows"][0]
+    assert report["failures"] == []
+    assert len(row["left"]) > 4300 and row["left"] == row["right"] == row["catalan"]
+    assert Decimal(row["left"]) == count_sequences(GroupSpec((20, 20, 20)), 21**3)
 
 
 def test_cnr_condition_rejected():

@@ -3,6 +3,7 @@
 import os
 import random
 from collections import Counter
+from decimal import Decimal
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -105,6 +106,13 @@ def test_budget_errors():
     for call in (enum_sequences, enum_subsets):
         with pytest.raises(ValueError, match=r"^the budget must be >= 0, got -5$"):
             call(g, 2, 0, limit=-5)
+    # C(65536, 32768) candidates, past the default int-to-str digit limit of
+    # 4300, still print: a traceback shows the message, not a failed str()
+    with pytest.raises(EnumerationLimitError) as info:
+        enum_subsets(GroupSpec((65536,)), 32768)
+    count, _, limit = str(info.value).partition(" candidates exceed the enumeration limit ")
+    assert len(count) > 4300 and Decimal(count) == info.value.candidates == comb(65536, 32768)
+    assert limit == str(info.value.limit)
 
 
 def test_limit_env_override(monkeypatch):

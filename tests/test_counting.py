@@ -1,5 +1,6 @@
 """Closed-form counts against oracle enumeration and each other."""
 
+from decimal import Decimal
 from math import comb, gcd
 
 import pytest
@@ -35,6 +36,12 @@ def test_exact_div():
     assert exact_div(-12, 4) == -3
     with pytest.raises(ExactDivisionError):
         exact_div(13, 4)
+    # a numerator past the default int-to-str digit limit of 4300 is named in full
+    big = 7**6000
+    with pytest.raises(ExactDivisionError) as info:
+        exact_div(big, 2)
+    num, _, den = str(info.value).partition(" is not divisible by ")
+    assert len(num) > 4300 and Decimal(num) == big and den == "2"
 
 
 def test_multinomial():

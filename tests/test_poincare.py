@@ -1,6 +1,7 @@
 """Bigraded coefficient tables: dual computation, specializations, symmetry."""
 
 import dataclasses
+from decimal import Decimal
 from math import comb, gcd
 
 import pytest
@@ -127,6 +128,10 @@ def test_serialization():
         "target": 0,
         "coeffs": [["1", "1"], ["1", "2"]],
     }
+    # an entry past the default int-to-str digit limit of 4300 serializes in full
+    big = 7**6000
+    [[text, one]] = poincare.CoeffTable(GroupSpec((2,)), 0, ((big, 1),)).to_json_dict()["coeffs"]
+    assert len(text) > 4300 and Decimal(text) == big and one == "1"
 
 
 def test_series_cross_check_reports():
@@ -155,11 +160,12 @@ def test_series_cross_check_reports_a_wrong_cell(monkeypatch, capsys):
     # one wrong table cell is the one failure, and the CLI exits 1, also
     # under python -O
     real = poincare.poincare_table
+    offset = 1
 
     def one_cell_off(*args):
         table = real(*args)
         coeffs = [list(row) for row in table.coeffs]
-        coeffs[2][1] += 1
+        coeffs[2][1] += offset
         return dataclasses.replace(table, coeffs=tuple(map(tuple, coeffs)))
 
     monkeypatch.setattr(poincare, "poincare_table", one_cell_off)
@@ -171,6 +177,10 @@ def test_series_cross_check_reports_a_wrong_cell(monkeypatch, capsys):
         argv = [*leaf.split(), "--group", "2,4", "--target", "3", "--max-s", "4", "--max-t", "4"]
         assert run(argv) == 1, leaf
     assert all('"ok":false' in line for line in capsys.readouterr().out.splitlines())
+    # a wrong cell past the default int-to-str digit limit is reported in full
+    offset = 7**6000
+    (failure,) = series_cross_check(GroupSpec((2, 4)), 3, 4, 4)["failures"]
+    assert len(failure["formula"]) > 4300 and Decimal(failure["formula"]) == right + offset
 
 
 def test_bounds_validation():
@@ -200,9 +210,10 @@ def per_cell(g, target, max_s, max_t):
 def test_pair_count_table_equals_per_cell_counts():
     for g in groups_through(32):  # the trivial group first
         n, e = g.order, g.exponent
-        # (0, 0), past the order, and bounds that several divisors of the
-        # exponent divide
-        bounds = ((0, 0), (3, n + 2), (2 * e, e))
+        # (0, 0), past the order, bounds that several divisors of the
+        # exponent divide, and the shapes the verifiers read: the column of
+        # verify_gcp and reciprocity_scan, the full row of verify_subset_reciprocity
+        bounds = ((0, 0), (3, n + 2), (2 * e, e), (3 * e + 1, 0), (0, n))
         for target in g.elements():
             for max_s, max_t in bounds:
                 assert pair_count_table(g, target, max_s, max_t) == per_cell(g, target, max_s, max_t)
