@@ -12,9 +12,10 @@ Every table is computed twice, and the two must agree before it is
 returned.  The closed route, :func:`counting.pair_count_table`, checks the
 target and both bounds once per table and adds one signed subset column per
 divisor of the memoised profile into every d-th row.  The series route
-expands the sum above, truncated, with its own binomials, signs and character
-sums (from `character_sum`, not the memoised profile), so the agreement check
-compares two tables that were built separately.
+expands the sum above, truncated, with its own signs, characters from
+`character_sum` (not the profile) and recurrences for its column and row
+factor, and calls no `counting` helper but `exact_div_row`: the agreement
+check compares two tables built separately.
 
 :func:`series_cross_check` compares a table with a third route that shares
 no formula with them: the product over x in G of 1/(1 - s[x])(1 + t[x]),
@@ -22,7 +23,6 @@ multiplied out in the group algebra Z[G] without characters or enumeration.
 """
 
 from dataclasses import dataclass
-from math import comb
 from operator import add, mul
 
 from .counting import exact_div_row, pair_count_table
@@ -59,36 +59,34 @@ class CoeffTable:
 
 
 def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
-    """Table by truncated expansion of the generating function, with
-    characters from `character_sum`, not the profile memo."""
+    """Truncated expansion, characters from `character_sum` (not the profile memo),
+    its own column and row-factor recurrences; of `counting`, only `exact_div_row`."""
     n = group.order
     acc = [[0] * (max_t + 1) for _ in range(max_s + 1)]
     for d in divisors(group.exponent):
         chi, nd = character_sum(group, target, d), n // d
         if not chi:
             continue
-        # (1 - (-t)^d)^(n/d): the t^(d*j) coefficient is C(n/d, j) times
-        # (-1)^j from the binomial and (-1)^(d*j) from (-t)^d, so the sign
-        # is (-1)^(j*(d+1)); for even d the terms alternate.
-        tcoefs = [
-            (d * j, comb(nd, j) if (j * (d + 1)) % 2 == 0 else -comb(nd, j))
-            for j in range(0, min(nd, max_t // d) + 1)
-        ]
-        # 1/(1 - s^d)^(n/d) has s^(d*i) coefficient C(n/d + i - 1, i).
-        for i in range(0, max_s // d + 1):
-            row, scoef = acc[d * i], chi * comb(nd + i - 1, i)
+        # (1 - (-t)^d)^(n/d): the t^(d*j) coefficient is C(n/d, j) times (-1)^j
+        # from the binomial and (-1)^(d*j) from (-t)^d: sign (-1)^(j*(d+1)).
+        tcoefs, c = [], 1  # c = C(n/d, j)
+        for j in range(0, min(nd, max_t // d) + 1):
+            tcoefs.append((d * j, c if (j * (d + 1)) % 2 == 0 else -c))
+            c = c * (nd - j) // (j + 1)
+        # 1/(1 - s^d)^(n/d) has s^(d*i) coefficient C(n/d + i - 1, i), in chi.
+        for i, row in enumerate(acc[::d]):
             for k, tcoef in tcoefs:
-                row[k] += scoef * tcoef
+                row[k] += chi * tcoef
+            chi = chi * (nd + i) // (i + 1)
     return [exact_div_row(row, n) for row in acc]
 
 
 def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> CoeffTable:
     """Coefficient table through degrees (max_s, max_t), doubly computed."""
     closed = pair_count_table(group, target, max_s, max_t)
-    series = _series_table(group, target, max_s, max_t)
-    agree = closed == series
+    agree = closed == _series_table(group, target, max_s, max_t)
     _check(agree, "closed-form and series tables agree", group=str(group), target=target)
-    return CoeffTable(group, target, tuple(tuple(row) for row in closed))
+    return CoeffTable(group, target, tuple(map(tuple, closed)))
 
 
 def _sum_rows(group: GroupSpec, top: int, distinct: bool) -> list[list[int]]:

@@ -216,7 +216,9 @@ def test_pair_count_table_equals_per_cell_counts():
         bounds = ((0, 0), (3, n + 2), (2 * e, e), (3 * e + 1, 0), (0, n))
         for target in g.elements():
             for max_s, max_t in bounds:
-                assert pair_count_table(g, target, max_s, max_t) == per_cell(g, target, max_s, max_t)
+                cells = per_cell(g, target, max_s, max_t)
+                assert pair_count_table(g, target, max_s, max_t) == cells
+                assert poincare._series_table(g, target, max_s, max_t) == cells
 
 
 def test_exact_div_row():
