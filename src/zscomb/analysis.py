@@ -90,8 +90,8 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
             row = {
                 "group": name,
                 "k": k,
-                "count_k": str(ck),
-                "count_nk": str(cnk),
+                "count_k": _decimal(ck),
+                "count_nk": _decimal(cnk),
                 "predicate": pred,
             }
             if pred != (ck == cnk):
@@ -140,8 +140,8 @@ def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
             row = {
                 "group": name,
                 "p": p,
-                "left": str(left),
-                "right": str(right),
+                "left": _decimal(left),
+                "right": _decimal(right),
                 "predicate": pred,
             }
             if pred != (left == right):
@@ -223,8 +223,8 @@ def reciprocity_scan(max_order: int = 10) -> dict:
             row = {
                 "group": names[i],
                 "other": other,
-                "left": str(left),
-                "right": str(right),
+                "left": _decimal(left),
+                "right": _decimal(right),
                 "equal": left == right,
                 "coprime_orders": gcd(g.order, h.order) == 1,
             }

@@ -110,7 +110,8 @@ def enum_pairs(
         partners.setdefault(need[t], []).append(_to_multiplicity(n, labels))
     out = []
     for labels, s in zip(*_candidates(group, p, False, n)):
-        out += zip(repeat(_to_multiplicity(n, labels)), partners.get(s, ()))
+        if subsets := partners.get(s):
+            out += zip(repeat(_to_multiplicity(n, labels)), subsets)
     return out
 
 

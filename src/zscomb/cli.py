@@ -25,7 +25,7 @@ import os
 import sys
 
 from .errors import EnumerationLimitError, ExactDivisionError, InvariantError, _check_budget
-from .groups import GroupSpec
+from .groups import GroupSpec, _decimal
 
 
 class UsageError(ValueError):
@@ -177,12 +177,12 @@ def _encode(value, fields=()):
     comma-joined, a listing becomes {"count", "items"}, and named fields
     split a tuple result into an object."""
     if isinstance(value, list):
-        return {"count": str(len(value)), "items": [_encode(item, fields) for item in value]}
+        return {"count": _decimal(len(value)), "items": [_encode(item, fields) for item in value]}
     if fields:
         parts = value if len(fields) > 1 else (value,)
         return {field: _encode(part) for field, part in zip(fields, parts)}
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     if hasattr(value, "to_json_dict"):  # a CoeffTable
@@ -193,11 +193,7 @@ def _encode(value, fields=()):
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     pretty = False
-    # Lift the int-to-str digit limit (0: none, or none to lift) for this call only.
-    digits = getattr(sys, "get_int_max_str_digits", int)()
     try:
-        if digits:
-            sys.set_int_max_str_digits(0)
         args = build_parser(argv).parse_args(argv)
         pretty = args.pretty
         target, dests, fields = args.leaf
@@ -209,22 +205,20 @@ def run(argv=None) -> int:
     except (ValueError, EnumerationLimitError) as exc:
         payload, code = {"error": type(exc).__name__, "reason": str(exc)}, 2
         if isinstance(exc, EnumerationLimitError):
-            payload.update(candidates=str(exc.candidates), limit=str(exc.limit))
-    except InvariantError as exc:
-        payload, code = {"error": "InvariantError", "reason": str(exc)}, 3
-        payload.update(check=exc.check, context=exc.context)
-    except ExactDivisionError as exc:
-        payload, code = {"error": "ExactDivisionError", "reason": str(exc)}, 3
+            payload.update(candidates=_decimal(exc.candidates), limit=_decimal(exc.limit))
+    except (InvariantError, ExactDivisionError) as exc:
+        payload, code = {"error": type(exc).__name__, "reason": str(exc)}, 3
+        if isinstance(exc, InvariantError):
+            payload.update(check=exc.check, context=exc.context)
     except (MemoryError, OverflowError) as exc:
         payload, code = {"error": type(exc).__name__, "reason": str(exc) or "out of memory"}, 5
-    finally:
-        if digits:
-            sys.set_int_max_str_digits(digits)
     print(json.dumps(payload, indent=2) if pretty else json.dumps(payload, separators=(",", ":")))
     return code
 
 
 def main() -> None:
+    # The process is ours: argv integers of any length parse (0: no limit).
+    getattr(sys, "set_int_max_str_digits", int)(0)
     try:
         code = run()
         sys.stdout.flush()

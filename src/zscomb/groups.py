@@ -81,7 +81,8 @@ def _integers(values, what: str) -> tuple[int, ...]:
 
 
 def _decimal(n: int) -> str:
-    """str(n), also past the interpreter's int-to-str digit limit."""
+    """str(n), also past the int-to-str digit limit: the one writer of printed
+    counts, through `decimal` so that no caller sees the limit change."""
     try:
         return str(n)
     except ValueError:

@@ -147,9 +147,10 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     # k*x = e is k*a = top/2 (mod top) on the top axis and 0 on the others,
     # so the smallest label takes the smallest such a and zeros below it.
     top = group.invariant_factors[-1]
-    a = next((a for a in range(top) if k * a % top == top // 2), None)
-    if a is None:
+    g = gcd(k, top)
+    if top // 2 % g:
         raise ValueError(f"k*x = e has no solution for k = {k} in group {group}")
+    a = top // 2 // g * pow(k // g, -1, top // g) % (top // g)
     x = a * (n // top)
     out = translate(group, comp, x)
     ok = is_zero_sum_by_congruences(group, out)

@@ -363,7 +363,8 @@ def test_usage_error_exit_2(capsys):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit to lift")
 def test_count_beyond_int_str_digit_limit(capsys):
     # C(65536, 32769)/65536 has about 19,700 digits, beyond the interpreter's
-    # default int-to-str limit of 4300; run lifts it and puts it back.
+    # default int-to-str limit of 4300; run writes it through groups._decimal
+    # and leaves the limit as it found it.
     limit = sys.get_int_max_str_digits()
     assert run(shlex.split("count subsets --group 65536 --size 32769")) == 0
     assert sys.get_int_max_str_digits() == limit
@@ -374,6 +375,55 @@ def test_count_beyond_int_str_digit_limit(capsys):
         assert int(text) == counting.count_subsets(zscomb.GroupSpec((65536,)), 32769)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# 10**4400 + 1: 4401 digits, one past the interpreter's default limit.
+BIG = "1" + "0" * 4399 + "1"
+LIMITED = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, 4300, for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@LIMITED
+def test_run_leaves_the_digit_limit_to_its_caller(capsys, monkeypatch, default_digit_limit):
+    seen = []
+
+    def leaf(a, b):
+        seen.append(sys.get_int_max_str_digits())
+        return 7
+
+    monkeypatch.setattr(zscomb, "rational_catalan", leaf, raising=False)
+    assert invoke(capsys, "count", "catalan", "--a", "3", "--b", "5") == (0, '{"count":"7"}\n')
+    assert seen == [default_digit_limit]
+
+
+@LIMITED
+def test_in_process_argv_integer_past_the_digit_limit_exit_2(capsys, default_digit_limit):
+    code, out = invoke(capsys, "count", "catalan", "--a", BIG, "--b", "1")
+    assert (code, json.loads(out)["error"]) == (2, "UsageError")
+
+
+def test_console_entry_parses_argv_integers_past_the_digit_limit():
+    proc = _python("-m", "zscomb.cli", "count", "catalan", "--a", BIG, "--b", "1")
+    assert (proc.returncode, proc.stdout) == (0, '{"count":"1"}\n'), proc.stderr
+
+
+@LIMITED
+def test_refused_enumeration_writes_its_whole_candidate_count(capsys, default_digit_limit):
+    code, out = invoke(capsys, "enum", "subsets", "--group", "65536", "--size", "32768")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "EnumerationLimitError")
+    sys.set_int_max_str_digits(0)
+    expected = str(math.comb(65536, 32768))
+    assert len(expected) == 19726 and payload["candidates"] == expected
 
 
 def test_precondition_error_exit_2(capsys):
