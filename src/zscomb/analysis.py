@@ -12,6 +12,7 @@ Counts inside reports are decimal strings so arbitrary-precision values
 survive any JSON consumer.
 """
 
+from functools import cache
 from math import gcd
 
 from .brute import enum_sequences
@@ -48,11 +49,14 @@ def all_abelian_groups(order: int) -> list[GroupSpec]:
     return [GroupSpec(chain) for chain in _chains(order, 1)]
 
 
-def _groups_up_to(max_order: int) -> list[GroupSpec]:
-    max_order = _integer(max_order, "max_order")
-    if max_order < 1:
+def _max_order(max_order) -> int:
+    if (max_order := _integer(max_order, "max_order")) < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    return [g for o in range(1, max_order + 1) for g in all_abelian_groups(o)]
+    return max_order
+
+
+def _groups_up_to(max_order: int) -> list[GroupSpec]:
+    return [g for o in range(1, _max_order(max_order) + 1) for g in all_abelian_groups(o)]
 
 
 def _report(theorem: str, rows: list, failures: list) -> dict:
@@ -81,7 +85,7 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     have the proven direction: k-count < (n-k)-count if v2(k) = v2(n_r),
     and > if v2(k) > v2(n_r).
     """
-    rows, failures = [], []
+    rows, failures, text = [], [], cache(_decimal)  # each distinct count written once
     for group in _groups_up_to(max_order):
         n, name = group.order, str(group)
         counts = pair_count_table(group, 0, 0, n - 1)[0][1:]  # k = 1..n-1
@@ -90,8 +94,8 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
             row = {
                 "group": name,
                 "k": k,
-                "count_k": _decimal(ck),
-                "count_nk": _decimal(cnk),
+                "count_k": text(ck),
+                "count_nk": text(cnk),
                 "predicate": pred,
             }
             if pred != (ck == cnk):
@@ -125,13 +129,13 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
-    groups, rows, failures = _groups_up_to(max_order), [], []
+    max_order, rows, failures, text = _max_order(max_order), [], [], cache(_decimal)
     primes = tuple(map(_prime, primes))  # checked once; an iterator is read once
     if not primes or len(set(primes)) < len(primes):
         raise ValueError(f"need at least one prime and no repeats, got {primes}")
     rights = {p: [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
               for p in primes}  # rights[p][m] = |M(C_p, m)|
-    for group in groups:
+    for group in _groups_up_to(max_order):  # listed only once the primes are checked
         name = str(group)
         for p in primes:
             left = count_sequences(group, p, 0)
@@ -140,8 +144,8 @@ def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
             row = {
                 "group": name,
                 "p": p,
-                "left": _decimal(left),
-                "right": _decimal(right),
+                "left": text(left),
+                "right": text(right),
                 "predicate": pred,
             }
             if pred != (left == right):
@@ -211,7 +215,7 @@ def reciprocity_scan(max_order: int = 10) -> dict:
     <= max_order gets a row.  Coprime-order pairs must agree (those go to
     failures if not); non-coprime rows carry no verdict.
     """
-    groups = _groups_up_to(max_order)
+    groups, text = _groups_up_to(max_order), cache(_decimal)
     names = [str(g) for g in groups]
     # columns[i][m] = |M(groups[i], m)|
     columns = [[row[0] for row in pair_count_table(g, 0, max_order, 0)] for g in groups]
@@ -223,8 +227,8 @@ def reciprocity_scan(max_order: int = 10) -> dict:
             row = {
                 "group": names[i],
                 "other": other,
-                "left": _decimal(left),
-                "right": _decimal(right),
+                "left": text(left),
+                "right": text(right),
                 "equal": left == right,
                 "coprime_orders": gcd(g.order, h.order) == 1,
             }

@@ -177,7 +177,7 @@ def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> l
 
     Each divisor d of the profile adds one signed column, nonzero entries
     (-1)^(k + k/d) * C(n/d, k/d) at d | k <= n, into rows p = d*i, i = 0, 1, ...,
-    times character_sum(target, d) * C(n/d + i - 1, i); each row then divides by n.
+    times character_sum(target, d) * C(n/d + i - 1, i); the table then divides by n.
     """
     profile = character_profile(group, target)  # checks the target
     max_s = group.check_size(max_s)
@@ -195,6 +195,5 @@ def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> l
             for k, c in col:
                 row[k] += f * c
             f = f * (nd + i) // (i + 1)
-    for row in rows:
-        row[:] = exact_div_row(row, n)
-    return rows
+    cells = exact_div_row([c for row in rows for c in row], n)  # one scan of the table
+    return [cells[i : i + max_t + 1] for i in range(0, len(cells), max_t + 1)]

@@ -78,7 +78,8 @@ def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
             for k, tcoef in tcoefs:
                 row[k] += chi * tcoef
             chi = chi * (nd + i) // (i + 1)
-    return [exact_div_row(row, n) for row in acc]
+    cells = exact_div_row([c for row in acc for c in row], n)  # one scan of the table
+    return [cells[i : i + max_t + 1] for i in range(0, len(cells), max_t + 1)]
 
 
 def poincare_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> CoeffTable:

@@ -165,6 +165,42 @@ def test_sweeps_check_their_bound_first():
     assert verify_gcp(1, (2,))["scanned"] == 1  # the trivial group alone
 
 
+def test_verify_gcp_refuses_bad_primes_before_listing_groups(monkeypatch, capsys):
+    def no_listing(max_order):
+        raise AssertionError("the groups were listed before the primes were checked")
+
+    monkeypatch.setattr(analysis, "_groups_up_to", no_listing)
+    for primes, reason in (
+        ((4,), "p must be prime, got 4"),
+        ((2, 2), "need at least one prime and no repeats, got (2, 2)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            verify_gcp(100_000, primes)
+        assert str(err.value) == reason
+    with pytest.raises(ValueError, match="^max_order must be >= 1, got 0$"):
+        verify_gcp(0, (4,))  # the bound still comes first
+    assert run(["verify", "gcp", "--max-order", "100000", "--primes", "4"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError", "reason": "p must be prime, got 4"}
+
+
+@pytest.mark.parametrize("sweep, fields", [
+    (lambda: verify_subset_reciprocity(32), ("count_k", "count_nk")),
+    (lambda: reciprocity_scan(16), ("left", "right")),
+    (lambda: verify_gcp(32), ("left", "right")),
+], ids=["subset-reci", "scan", "gcp"])
+def test_a_sweep_writes_each_distinct_count_once_per_call(sweep, fields):
+    first, second = sweep(), sweep()
+    texts = [[row[field] for row in report["rows"] for field in fields]
+             for report in (first, second)]
+    for written in texts:
+        assert len({id(t) for t in written}) == len(set(written)) < len(written)
+    assert second == first
+    # no memo outlives its call: the second report wrote its own strings
+    # (one-character strings are interned by the interpreter)
+    assert not {id(t) for t in texts[0] if len(t) > 1} & {id(t) for t in texts[1]}
+
+
 def test_cnr_known_value():
     report = cnr_reciprocity_check(2, 6, 2)
     row = report["rows"][0]

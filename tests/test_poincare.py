@@ -23,7 +23,7 @@ from zscomb import (
     series_cross_check,
     subsets_by_sum,
 )
-from zscomb import groups
+from zscomb import counting, groups
 from zscomb.cli import run
 
 
@@ -225,6 +225,26 @@ def test_exact_div_row():
     assert exact_div_row([0, 6, -12], 6) == [0, 1, -2]
     with pytest.raises(ExactDivisionError, match="^7 is not divisible by 6$"):
         exact_div_row([6, 7, 8], 6)
+
+
+@pytest.mark.parametrize("home, route", [(counting, "pair_count_table"), (poincare, "_series_table")])
+def test_a_table_route_divides_once_and_names_its_first_inexact_cell(monkeypatch, home, route):
+    # cells (1, 3) and (2, 0) are made inexact: the error names (1, 3), first
+    # in row-major order though last in column-major, also under python -O
+    g, table = GroupSpec((2, 4)), pair_count_table(GroupSpec((2, 4)), 3, 3, 4)
+    real, seen = home.exact_div_row, []
+
+    def two_cells_off(cells, den):
+        seen.append(list(cells))
+        cells[1 * 5 + 3] += 1
+        cells[2 * 5 + 0] += 1
+        return real(cells, den)
+
+    monkeypatch.setattr(home, "exact_div_row", two_cells_off)
+    with pytest.raises(ExactDivisionError) as info:
+        getattr(home, route)(g, 3, 3, 4)
+    assert seen == [[8 * c for row in table for c in row]]  # one call, row-major
+    assert str(info.value) == f"{8 * table[1][3] + 1} is not divisible by 8"
 
 
 @pytest.mark.parametrize("route", ["pair_count_table", "_series_table"])
