@@ -17,9 +17,12 @@ was written (the JSON error goes to stderr), 5 a size does not fit in memory
 or in a machine index (MemoryError, OverflowError).  Counts are emitted as
 decimal strings.  `--limit` (the enumeration budget) exists on the leaves
 that enumerate; the ZSCOMB_LIMIT environment variable sets its default.
+
+A plain line (family, leaf, `--flag value` pairs, maybe `--pretty`) is read
+straight from COMMANDS; argparse is imported only for other lines: --help,
+usage errors and spellings such as `--flag=value`.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -32,27 +35,15 @@ class UsageError(ValueError):
     """A malformed command line; the reason is argparse's message."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def _vec(text):
+    return tuple(int(part) for part in text.split(","))
 
 
-def _reasoned(parse):
-    """A flag type whose usage error is the parse's own ValueError message
-    (argparse would only name the function: "invalid parse value")."""
-
-    def flag_type(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return flag_type
+def _limit(text):
+    return _check_budget(0, int(text))
 
 
-_vec = _reasoned(lambda text: tuple(int(part) for part in text.split(",")))
-_group = _reasoned(GroupSpec.parse)
-_limit = _reasoned(lambda text: _check_budget(0, int(text)))
+_group = GroupSpec.parse
 
 
 # A flag is (name, type, default, help); REQUIRED as the default makes it required.
@@ -143,33 +134,77 @@ COMMANDS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of every command.  Given the argv it will parse, when
-    argv[0] names a family and argv[1] one of its leaves, it builds only the
-    top parser, that family and that leaf; that parse reaches nothing else,
-    so its namespace or usage error is the full tree's."""
+def build_parser():
+    """The argparse parser of every command."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    def reasoned(parse):
+        """A flag type whose usage error is the parse's own ValueError message
+        (argparse would only name the function: "invalid parse value")."""
+        if parse in (int, str):
+            return parse
+
+        def flag_type(text: str):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return flag_type
+
     parser = _Parser(
         prog="zscomb",
         description="Zero-sum subset and multiset combinatorics over finite abelian groups.",
     )
-    commands = [c for c in COMMANDS if argv and c[:2] == tuple(argv[:2])] or COMMANDS
     top = parser.add_subparsers(dest="command", required=True)
     families = {
         family: top.add_parser(family, help=help_text).add_subparsers(
             dest="subcommand", required=True
         )
         for family, help_text in FAMILIES.items()
-        if any(c[0] == family for c in commands)
     }
-    for family, name, help_text, target, flags, fields in commands:
+    for family, name, help_text, target, flags, fields in COMMANDS:
         p = families[family].add_parser(name, help=help_text)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         dests = [
-            p.add_argument(f, type=t, default=d, required=d is REQUIRED, help=h).dest
+            p.add_argument(f, type=reasoned(t), default=d, required=d is REQUIRED, help=h).dest
             for f, t, d, h in flags
         ]
         p.set_defaults(leaf=(target, dests, fields))
     return parser
+
+
+def _plain(argv):
+    """(leaf function name, argument values, result fields, pretty) of a
+    plain line, exactly as argparse reads it, else None.  A plain line is a
+    family, one of its leaves, then that leaf's exact flags, each at most
+    once and none required left out: `--pretty`, or a flag and a value that
+    is not empty, does not start with "-" and parses by the flag's type."""
+    leaf = next((c for c in COMMANDS if c[:2] == tuple(argv[:2])), None)
+    if leaf is None:
+        return None
+    *_, target, flags, fields = leaf
+    types = {f: t for f, t, _, _ in flags}
+    words, given, pretty = list(argv[2:]), {}, False
+    while words:
+        flag = words.pop(0)
+        if flag == "--pretty" and not pretty:
+            pretty = True
+        elif flag in types and flag not in given and words and words[0][:1] not in ("", "-"):
+            given[flag] = words.pop(0)
+        else:
+            return None
+    if any(d is REQUIRED and f not in given for f, _, d, _ in flags):
+        return None
+    try:  # in argv order, as argparse converts them
+        values = {f: types[f](text) for f, text in given.items()}
+    except (ValueError, TypeError):
+        return None
+    return target, [values.get(f, d) for f, _, d, _ in flags], fields, pretty
 
 
 def _encode(value, fields=()):
@@ -194,11 +229,14 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     pretty = False
     try:
-        args = build_parser(argv).parse_args(argv)
-        pretty = args.pretty
-        target, dests, fields = args.leaf
+        parsed = _plain(argv)
+        if parsed is None:
+            args = build_parser().parse_args(argv)
+            target, dests, fields = args.leaf
+            parsed = target, [getattr(args, dest) for dest in dests], fields, args.pretty
+        target, values, fields, pretty = parsed
         fn = getattr(sys.modules[__package__], target)
-        payload = _encode(fn(*[getattr(args, dest) for dest in dests]), fields)
+        payload = _encode(fn(*values), fields)
         code = 1 if isinstance(payload, dict) and payload.get("failures") else 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -13,7 +13,7 @@ import pytest
 
 import zscomb
 from zscomb import counting, dyck
-from zscomb.cli import COMMANDS, LIMIT, UsageError, build_parser, run
+from zscomb.cli import COMMANDS, LIMIT, UsageError, _plain, build_parser, main, run
 
 
 def invoke(capsys, *argv):
@@ -410,6 +410,28 @@ def test_in_process_argv_integer_past_the_digit_limit_exit_2(capsys, default_dig
     assert (code, json.loads(out)["error"]) == (2, "UsageError")
 
 
+@LIMITED
+def test_main_in_process(capsys, monkeypatch, default_digit_limit):
+    # main lifts the digit limit for its process and exits with run's code
+    def out_of_memory(a, b):
+        raise MemoryError
+
+    for argv, code, out in (
+        (["count", "catalan", "--a", BIG, "--b", "1"], 0, '{"count":"1"}'),
+        (["count", "catalan", "--a", "3"], 2,
+         '{"error":"UsageError","reason":"the following arguments are required: --b"}'),
+        (["count", "catalan", "--a", "3", "--b", "5"], 5,
+         '{"error":"MemoryError","reason":"out of memory"}'),
+    ):
+        if code == 5:
+            monkeypatch.setattr(zscomb, "rational_catalan", out_of_memory, raising=False)
+        monkeypatch.setattr(sys, "argv", ["zscomb", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert (exit_.value.code, capsys.readouterr().out) == (code, out + "\n")
+        assert sys.get_int_max_str_digits() == 0
+
+
 def test_console_entry_parses_argv_integers_past_the_digit_limit():
     proc = _python("-m", "zscomb.cli", "count", "catalan", "--a", BIG, "--b", "1")
     assert (proc.returncode, proc.stdout) == (0, '{"count":"1"}\n'), proc.stderr
@@ -528,26 +550,61 @@ def test_help_exits_zero(capsys):
         assert ("--limit" in capsys.readouterr().out) == (leaf in budgeted), leaf
 
 
-def test_call_parser_matches_full_tree(capsys):
-    """`build_parser(argv)` leaves out only what parsing argv cannot reach."""
+def argparse_reads(argv, capsys):
+    """The leaf, flag values and --pretty of argparse's namespace for argv,
+    in the shape `_plain` returns; or its usage error, or its help text."""
+    try:
+        args = build_parser().parse_args(argv)
+    except (UsageError, SystemExit) as exc:  # SystemExit: --help
+        return type(exc).__name__, str(exc), capsys.readouterr().out
+    target, dests, fields = args.leaf
+    return target, [getattr(args, dest) for dest in dests], fields, args.pretty
 
-    def outcome(parser, argv):
-        try:
-            return vars(parser.parse_args(argv))
-        except (UsageError, SystemExit) as exc:  # SystemExit: --help
-            return type(exc).__name__, str(exc), capsys.readouterr().out
 
-    argvs = [shlex.split(argv) for argv, _, _ in GOLDEN]
-    argvs += [argv[:2] + ["--help"] for argv in argvs] + [argv[:1] for argv in argvs]
+# Lines the plain path must leave to argparse, each a usage error.
+DECLINED = (
+    "count catalan --a=3",  # --flag=value
+    "count catalan --a 3 --a 5",  # a repeated flag
+    "enum dyck --a 2 --b 3 --limit -3",  # a value starting with "-"
+    "count catalan --a '' --b 5",  # an empty value
+    "count catalan --a 3 --pretty --pretty",  # --pretty twice
+    "count sequences --grou 7",  # an abbreviation
+)
+# Lines argparse reads without error that the plain path leaves to it.
+ARGPARSE_ONLY = (
+    "count catalan --a=3 --b 5", "count catalan --a 3 --b 5 --a 7",
+    "count catalan --a 3 --b 5 --pretty --pretty", "count sequences --group '' --length 2",
+    "count sequences --grou 7 --length 2", "count sequences --group 7 --length 2 --target -1",
+)
+
+
+def test_the_plain_path_reads_like_argparse(capsys):
+    """`_plain` reads a line exactly as argparse does, or declines it."""
+    goldens = [shlex.split(argv) for argv, _, _ in GOLDEN]
+    assert all(_plain(argv) == argparse_reads(argv, capsys) for argv in goldens)
+    # flags in any order; argparse converts them in argv order too
+    argv = shlex.split("count catalan --b 5 --a 3 --pretty")
+    expected = ("rational_catalan", [3, 5], ("count",), True)
+    assert _plain(argv) == argparse_reads(argv, capsys) == expected
+    argvs = [argv[:2] + ["--help"] for argv in goldens] + [argv[:1] for argv in goldens]
     for line in (
         "", "--help", "-h", "nonsense", "count nonsense", "count --help",
-        "count catalan --a 3", "count catalan --a 3 --b 5 --c 1", "count catalan --b 5 --a 3",
+        "count catalan --a 3", "count catalan --a 3 --b 5 --c 1",
         "--pretty count catalan --a 3 --b 5", "count --x catalan --a 3 --b 5",
         "count -- catalan --a 3 --b 5", "count sequences --grou 7 --len 3",
+        *DECLINED, *ARGPARSE_ONLY,
     ):
         argvs.append(shlex.split(line))
     for argv in argvs:
-        assert outcome(build_parser(argv), argv) == outcome(build_parser(), argv), argv
+        assert _plain(argv) is None, argv
+    for line in ARGPARSE_ONLY:
+        assert len(argparse_reads(shlex.split(line), capsys)) == 4, line
+    for line in DECLINED:
+        argv = shlex.split(line)
+        error, reason, _ = argparse_reads(argv, capsys)
+        assert error == "UsageError", line
+        expected = json.dumps({"error": "UsageError", "reason": reason}, separators=(",", ":"))
+        assert invoke(capsys, *argv) == (2, expected + "\n"), line
 
 
 def _python(*args):
@@ -572,22 +629,32 @@ def test_cold_start_loads_only_the_leaf_modules():
         "import zscomb.cli\n"
         "after_import = sorted(sys.modules)\n"
         "code = zscomb.cli.run(['count', 'catalan', '--a', '3', '--b', '5'])\n"
-        "print(json.dumps([after_import, sorted(sys.modules), code]))\n"
+        "after_run = sorted(sys.modules)\n"
+        "zscomb.cli.run(['count', 'catalan', '--a', '3'])\n"
+        "print(json.dumps([after_import, after_run, code, sorted(sys.modules)]))\n"
     ))
     assert proc.returncode == 0, proc.stderr
-    out, summary = proc.stdout.splitlines()
-    after_import, after_run, code = json.loads(summary)
+    out, usage, summary = proc.stdout.splitlines()
+    after_import, after_run, code, after_usage_error = json.loads(summary)
     assert (code, out) == (0, '{"count":"7"}')
     assert not lazy & set(after_import)
     added = {m for m in set(after_run) - set(after_import) if m.startswith("zscomb")}
     assert added == {"zscomb.counting"}
     assert "dataclasses" not in after_run
+    # a plain line never imports argparse; a usage error does
+    assert not {"argparse", "gettext"} & {*after_import, *after_run}
+    assert json.loads(usage)["error"] == "UsageError" and "argparse" in after_usage_error
+    proc = _python("-X", "importtime", "-m", "zscomb.cli", *"count catalan --a 2 --b 3".split())
+    assert proc.stdout == '{"count":"2"}\n'
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
+    assert "zscomb.errors" in imported and not {"argparse", "gettext"} & imported
     # the package resolves its names on first use, to the defining module's objects
     proc = _python("-c", (
         "import sys, zscomb\n"
         "print('zscomb.counting' in sys.modules, zscomb.counting.__name__)\n"
     ))
     assert proc.stdout.split() == ["False", "zscomb.counting"], proc.stderr
+    assert zscomb.__getattr__("counting") is counting
     for name in zscomb.__all__:
         value = getattr(zscomb, name)
         assert getattr(sys.modules[value.__module__], name) is value, name

@@ -18,7 +18,7 @@ from contextlib import redirect_stdout
 from io import StringIO
 from math import gcd, prod
 
-from zscomb.cli import COMMANDS, REQUIRED, UsageError, build_parser, run
+from zscomb.cli import COMMANDS, REQUIRED, UsageError, _plain, build_parser, run
 
 SEED, CALLS = 2019, 1000
 DIGEST = "28581bed5b938811939fa227c5161e572535ad2ec319b1a6a86e732a132f2430"
@@ -241,16 +241,25 @@ def test_every_call_prints_one_json_document_and_the_outputs_are_pinned(monkeypa
     assert digest == DIGEST
 
 
-def _parse(parser, argv):
+def _argparse_reads(parser, argv):
     try:
-        return parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except UsageError as exc:
         return str(exc)
+    target, dests, fields = args.leaf
+    return target, [getattr(args, dest) for dest in dests], fields, args.pretty
 
 
-def test_the_pruned_parser_parses_like_the_full_tree():
-    # build_parser(argv) builds only the leaf argv names; on every corpus
-    # line it gives the full tree's namespace or its exact usage error
-    full = build_parser()
+def test_the_plain_path_reads_the_corpus_like_argparse():
+    # on every corpus line `_plain` gives argparse's reading or declines; of
+    # the lines argparse reads, it declines only those with a value that is
+    # empty or starts with "-"
+    parser, read = build_parser(), 0
     for argv in corpus():
-        assert _parse(build_parser(argv), argv) == _parse(full, argv), argv
+        plain, parsed = _plain(argv), _argparse_reads(parser, argv)
+        if plain is not None:
+            assert plain == parsed, argv
+            read += 1
+        elif not isinstance(parsed, str):
+            assert any(word[:1] in ("", "-") for word in argv[3::2]), argv
+    assert read == 904
