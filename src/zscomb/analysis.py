@@ -73,6 +73,11 @@ def subset_reci_predicate(group: GroupSpec, k: int) -> bool:
     k, n = _integer(k, "k"), group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= {n - 1}, got {k}")
+    return _subset_reci(group, k)
+
+
+def _subset_reci(group: GroupSpec, k: int) -> bool:
+    """:func:`subset_reci_predicate` on a checked k."""
     top = group.invariant_factors[-1]  # k & -k is 2^v2(k), with no call per row
     return not group._total or k & -k < top & -top
 
@@ -90,7 +95,7 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
         n, name = group.order, str(group)
         counts = pair_count_table(group, 0, 0, n - 1)[0][1:]  # k = 1..n-1
         for k, ck, cnk in zip(range(1, n), counts, reversed(counts)):
-            pred = subset_reci_predicate(group, k)
+            pred = _subset_reci(group, k)
             row = {
                 "group": name,
                 "k": k,
@@ -102,8 +107,7 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
                 failures.append({**row, "reason": "predicate mismatch"})
             if not pred:
                 top = group.invariant_factors[-1]
-                want_less = v2(k) == v2(top)
-                if (ck < cnk) != want_less:
+                if (ck < cnk) != (k & -k == top & -top):  # less iff v2(k) = v2(top)
                     failures.append({**row, "reason": "wrong inequality direction"})
             rows.append(row)
     return _report("subset-reci", rows, failures)
@@ -122,9 +126,12 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
     top one; then p-multisets over G and |G|-multisets over C_p are
     equinumerous, otherwise G strictly wins.
     """
-    p = _prime(p)
-    below_top = group.invariant_factors[:-1]
-    return all(f % p for f in below_top)
+    return _gcp(group, _prime(p))
+
+
+def _gcp(group: GroupSpec, p: int) -> bool:
+    """:func:`gcp_predicate` on a checked prime p."""
+    return all(f % p for f in group.invariant_factors[:-1])
 
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
@@ -140,7 +147,7 @@ def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
         for p in primes:
             left = count_sequences(group, p, 0)
             right = rights[p][group.order]
-            pred = gcp_predicate(group, p)
+            pred = _gcp(group, p)
             row = {
                 "group": name,
                 "p": p,

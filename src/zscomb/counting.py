@@ -14,11 +14,11 @@ any non-exact division into a loud error as each value is a cardinality.
 """
 
 from itertools import compress
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 from operator import index, mul
 
 from .errors import ExactDivisionError
-from .groups import GroupSpec, _decimal, _integer, _integers, character_profile
+from .groups import GroupSpec, _check_shape, _decimal, _integer, _integers, character_profile
 
 
 def exact_div(num: int, den: int) -> int:
@@ -110,15 +110,6 @@ def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     ``count_pairs_coefficient(group, target, m, 0)``."""
     profile = character_profile(group, target)
     return _pair_count(group, profile, group.check_size(m), 0)
-
-
-def _check_shape(a: int, b: int) -> None:
-    """The (a, b) of a rational Catalan number or Dyck path: coprime, both >= 1."""
-    a, b = _integer(a, "a"), _integer(b, "b")
-    if a < 1 or b < 1:
-        raise ValueError(f"need a, b >= 1, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
 
 
 def rational_catalan(a: int, b: int) -> int:

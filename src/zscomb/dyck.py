@@ -14,9 +14,8 @@ point is involved anywhere.
 
 from itertools import accumulate
 
-from .counting import _check_shape, rational_catalan
 from .errors import _check, _check_budget
-from .groups import GroupSpec, _integers
+from .groups import GroupSpec, _check_shape, _integers
 from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
 
 
@@ -78,6 +77,8 @@ def enum_dyck(a: int, b: int, limit: int | None = None) -> list[str]:
     recursion) emits the smallest path through each prefix (north to b, then
     east) and pushes the prefixes that step east lower down.
     """
+    from .counting import rational_catalan  # only here: a bijection needs no counting
+
     cat = rational_catalan(a, b)
     _check_budget(cat, limit)
     lowest = [-(-b * (x + 1) // a) for x in range(a)]  # east step x needs a*y >= b*(x+1)

@@ -80,6 +80,15 @@ def _integers(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _check_shape(a: int, b: int) -> None:
+    """The (a, b) of a rational Catalan number or Dyck path: coprime, both >= 1."""
+    a, b = _integer(a, "a"), _integer(b, "b")
+    if a < 1 or b < 1:
+        raise ValueError(f"need a, b >= 1, got ({a}, {b})")
+    if gcd(a, b) != 1:
+        raise ValueError(f"({a}, {b}) are not coprime")
+
+
 def _decimal(n: int) -> str:
     """str(n), also past the int-to-str digit limit: the one writer of printed
     counts, through `decimal` so that no caller sees the limit change."""
@@ -273,21 +282,29 @@ def character_profile(group: GroupSpec, g: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=512)  # holds all 220 groups of order <= 120
 def _profile(ns: tuple[int, ...], g: int) -> tuple[tuple[int, int], ...]:
-    # F(l) of character_sum for every l | exponent, then Moebius inversion one
-    # prime at a time: O(tau * omega) steps, where a sum per d takes O(tau^2).
-    coords, exponent = _digits(ns, g), ns[-1] if ns else 1
-    ds, f = divisors(exponent), {}
-    for l in ds:
-        term = 1
-        for a_i, n_i in zip(coords, ns):
-            gl = gcd(n_i, l)
-            term = 0 if a_i % gl else term * gl
-        f[l] = term
-    for p, _ in factorize(exponent):
-        for d in reversed(ds):
-            if d % p == 0:
-                f[d] -= f[d // p]
-    return tuple((d, f[d]) for d in ds if f[d])
+    # F(l) = prod_i [gcd(n_i, l) | a_i] * gcd(n_i, l) of character_sum is
+    # multiplicative in l, and so is its Moebius inversion f: on each prime
+    # power p^e of the exponent f(p^j) = F(p^j) - F(p^(j-1)), and f(d) is the
+    # product of those over the primes of d.
+    coords, terms = _digits(ns, g), [(1, 1)]
+    for p, e in factorize(ns[-1] if ns else 1):
+        steps, before, q = [], 1, 1
+        for _ in range(e):
+            q *= p
+            now = 1
+            for a_i, n_i in zip(coords, ns):
+                gl = gcd(n_i, q)
+                if a_i % gl:
+                    now = 0
+                    break
+                now *= gl
+            if now != before:
+                steps.append((q, now - before))
+            if not now:
+                break  # F(p^j) = 0 stays 0 for larger j
+            before = now
+        terms += [(d * r, c * v) for d, c in terms for r, v in steps]
+    return tuple(sorted(terms))
 
 
 def character_sum(group: GroupSpec, g: int, d: int) -> int:

@@ -28,7 +28,6 @@ from operator import add, mul
 from .counting import exact_div_row, pair_count_table
 from .errors import _check
 from .groups import GroupSpec, _decimal, _digits, _minus, character_sum, divisors
-from .zerosum import _translate
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,8 @@ def _sum_rows(group: GroupSpec, top: int, distinct: bool) -> list[list[int]]:
     the product over x in G of 1/(1 - s[x]) (1 + s[x] if distinct) in Z[G],
     truncated at size top, sizes ascending (descending if distinct): each x
     decoded once, then one unchecked `zerosum._translate` per size."""
+    from .zerosum import _translate  # only here: a table needs no zerosum
+
     ns = group.invariant_factors
     rows = [[int(g == 0) for g in group.elements()]] + [[0] * group.order for _ in range(top)]
     for x in group.elements():

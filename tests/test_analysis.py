@@ -124,6 +124,24 @@ def test_gcp_predicate():
         gcp_predicate(GroupSpec((3,)), 2.0)
 
 
+def test_each_predicate_equals_its_unchecked_core():
+    # the sweeps call the cores per row; the public gates check, then call them
+    primes = (2, 3, 5, 7, 11, 13)
+    for order in range(1, 65):
+        for g in all_abelian_groups(order):
+            for k in range(1, order):
+                assert subset_reci_predicate(g, k) is analysis._subset_reci(g, k), (g, k)
+            for p in primes:
+                assert gcp_predicate(g, p) is analysis._gcp(g, p), (g, p)
+    g = GroupSpec((2, 4))
+    for bad in (0, 8, -1, 2.0):
+        with pytest.raises(ValueError):
+            subset_reci_predicate(g, bad)
+    for bad in (1, 4, 2.0):
+        with pytest.raises(ValueError):
+            gcp_predicate(g, bad)
+
+
 def test_verify_gcp():
     report = verify_gcp(16, (2, 3, 5, 7))
     assert report["theorem"] == "gcp"
@@ -300,7 +318,7 @@ def _bump(real, group, by, at=()):
 # failures the report must list: every failure row a verifier can build)
 INJECTED = {
     "subset-reci-predicate": (
-        "subset_reci_predicate", lambda real: lambda g, k: real(g, k) != (str(g) == "4" and k == 2),
+        "_subset_reci", lambda real: lambda g, k: real(g, k) != (str(g) == "4" and k == 2),
         lambda: verify_subset_reciprocity(4), "verify subset-reci --max-order 4",
         [{"group": "4", "k": 2, "count_k": "1", "count_nk": "1", "predicate": False,
           "reason": "predicate mismatch"}]),

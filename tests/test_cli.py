@@ -648,6 +648,20 @@ def test_cold_start_loads_only_the_leaf_modules():
     assert proc.stdout == '{"count":"2"}\n'
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
     assert "zscomb.errors" in imported and not {"argparse", "gettext"} & imported
+    # a Dyck bijection compiles no counting, and a table no zerosum
+    for argv, leaves in (
+        ("biject seq-to-dyck --group 3 --vector 2,0,0", ("dyck", "zerosum")),
+        ("biject dyck-to-subset --group 5 --word 00101", ("dyck", "zerosum")),
+        ("poincare table --group 2,2 --max-s 2 --max-t 2", ("counting", "poincare")),
+    ):
+        proc = _python("-c", (
+            "import json, sys, zscomb.cli\n"
+            f"code = zscomb.cli.run({argv.split()!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('zscomb.'))]))\n"
+        ))
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert loaded == sorted(f"zscomb.{m}" for m in ("cli", "errors", "groups", *leaves)), argv
     # the package resolves its names on first use, to the defining module's objects
     proc = _python("-c", (
         "import sys, zscomb\n"

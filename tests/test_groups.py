@@ -1,6 +1,7 @@
 """Group structure, normalization, and character-sum arithmetic."""
 
 import pickle
+import random
 from copy import deepcopy
 from itertools import product
 
@@ -286,6 +287,16 @@ def test_character_profile_matches_character_sum():
                 sums = [(d, character_sum(g, t, d)) for d in divisors(g.exponent)]
                 assert list(character_profile(g, t)) == [(d, c) for d, c in sums if c]
     assert _profile.cache_info().maxsize is not None  # the memo is bounded
+
+
+def test_character_profile_matches_character_sum_to_order_2048():
+    # exponents up to 2048 reach 2^11 and four distinct primes (2*3*5*7 = 210)
+    rng = random.Random(2048)
+    for order in range(1, 2049):
+        for g in all_abelian_groups(order):
+            for t in (0, rng.randrange(order)):
+                sums = [(d, character_sum(g, t, d)) for d in divisors(g.exponent)]
+                assert character_profile(g, t) == tuple((d, c) for d, c in sums if c), (g, t)
 
 
 def test_character_profile_refuses_bad_targets():
