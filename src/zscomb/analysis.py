@@ -15,7 +15,6 @@ survive any JSON consumer.
 from functools import cache
 from math import gcd
 
-from .brute import enum_sequences
 from .counting import count_sequences, pair_count_table, rational_catalan
 from .errors import EnumerationLimitError
 from .groups import GroupSpec, _decimal, _integer, divisors, is_prime, normalize_group
@@ -183,6 +182,7 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
         (normalize_group((n,) * r), m**r),
         (normalize_group((m,) * r), n**r),
     )
+    from .brute import enum_sequences  # only here: the sweeps enumerate nothing
     counts, oracle_checked, failures = [], [], []
     for group, size in sides:
         count = count_sequences(group, size, 0)

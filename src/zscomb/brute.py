@@ -1,17 +1,18 @@
 """Brute-force enumeration oracles.
 
 Everything here recounts by exhaustion what the closed formulas claim, so it
-is deliberately simple: walk candidate multisets or subsets in a fixed order,
-add up their packed mixed-radix digits and read the sums back with the
-unchecked `groups._label`.  A listing of one sum walks only the sorted
-(size - 1)-label prefixes and solves each for its last label.  Setup is
-O(|G| * rank); budgets (`errors.py`) charge the full candidate space before
-any work, which bounds the walk.
+is deliberately simple: walk candidate multisets or subsets in a fixed order
+and add up their packed mixed-radix digits.  A listing of one sum walks only
+the sorted (size - 1)-label prefixes and solves each for its last label; a
+histogram counts every last label that sorts after each and reads each
+distinct packed sum back once.  Setup is O(|G| * rank), one add per table
+entry; budgets (`errors.py`) charge every candidate first, bounding the walk.
 """
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import comb
+from operator import add
 
 from .errors import _check_budget
 from .groups import GroupSpec, _label, _minus
@@ -20,20 +21,21 @@ from .groups import GroupSpec, _label, _minus
 class _Packing(dict):
     """Each label's digits packed into one int, and the label of a packed sum.
 
-    packed[l] puts digit i of label l in a slot of (width * n_r).bit_length()
-    bits, so up to `width` packed labels add without carries between slots.
+    packed[l] puts digit i of label l in slot i, (width * (n_i - 1)).bit_length() bits
+    wide, so up to `width` packed labels add without carries between slots.
     """
 
     def __init__(self, group: GroupSpec, width: int):
-        self.group = group
-        self.bits = (width * group.exponent).bit_length()
-        self.packed = [0]
-        for i, n_i in enumerate(group.invariant_factors):
-            self.packed = [p + (d << i * self.bits) for d in range(n_i) for p in self.packed]
+        self.group, self.packed, self.slots, shift = group, [0], [], 0
+        for n_i in group.invariant_factors:
+            self.packed = [p + (d << shift) for d in range(n_i) for p in self.packed]
+            bits = (width * (n_i - 1)).bit_length()
+            self.slots.append((shift, (1 << bits) - 1))
+            shift += bits
+        self.update(zip(self.packed, range(group.order)))
 
     def __missing__(self, key: int) -> int:
-        mask = (1 << self.bits) - 1
-        slots = (key >> i * self.bits & mask for i in range(self.group.rank))
+        slots = [key >> shift & mask for shift, mask in self.slots]
         label = self[key] = _label(self.group.invariant_factors, slots)
         return label
 
@@ -47,11 +49,13 @@ def _charge(group: GroupSpec, size: int, distinct: bool, limit: int | None) -> i
 
 def _candidates(group: GroupSpec, size: int, distinct: bool, pool: int):
     """Label tuples of every size-`size` multiset (subset if distinct) of the
-    labels below `pool`, in combinations order, and in step with them the
-    label of each one's sum.  The caller has checked `size`."""
+    labels below `pool`, in combinations order, in step with them the label of
+    each one's sum, and their packing, which also reads sums of two labels.
+    The caller has checked `size`."""
     pick = combinations if distinct else combinations_with_replacement
-    pack = _Packing(group, size)
-    return pick(range(pool), size), map(pack.__getitem__, map(sum, pick(pack.packed[:pool], size)))
+    pack = _Packing(group, max(size, 2))
+    sums = map(pack.__getitem__, map(sum, pick(pack.packed[:pool], size)))
+    return pick(range(pool), size), sums, pack
 
 
 def _to_multiplicity(n: int, labels) -> tuple[int, ...]:
@@ -69,12 +73,29 @@ def _with_sum(group: GroupSpec, size: int, distinct: bool, target: int, limit: i
     if not size:
         return [(0,) * n] if target == 0 else []
     need = _minus(group.invariant_factors, goal)
-    prefixes, sums = _candidates(group, size - 1, distinct, n - distinct)
+    prefixes, sums, _ = _candidates(group, size - 1, distinct, n - distinct)
     return [
         _to_multiplicity(n, prefix + (x,))
         for prefix, x in zip(prefixes, map(need.__getitem__, sums))
         if not prefix or x >= prefix[-1] + distinct
     ]
+
+
+def _by_sum(group: GroupSpec, size: int, distinct: bool, limit: int | None) -> Counter:
+    """Each sorted (size - 1)-label prefix's sum, packed again, adds every last
+    label that sorts after it; each distinct two-label sum is read back once."""
+    size, n = _charge(group, size, distinct, limit), group.order
+    if not size:
+        return Counter({0: 1})
+    prefixes, sums, pack = _candidates(group, size - 1, distinct, n - distinct)
+    packed = pack.packed
+    keys = Counter(chain.from_iterable(
+        map(add, repeat(packed[s]), packed[prefix[-1] + distinct if prefix else 0:])
+        for prefix, s in zip(prefixes, sums)))
+    hist = Counter()
+    for key, count in keys.items():
+        hist[pack[key]] += count
+    return hist
 
 
 def enum_sequences(group: GroupSpec, m: int, target: int = 0, limit: int | None = None):
@@ -106,10 +127,10 @@ def enum_pairs(
     # the subsets of sum t pair with the multisets of sum target - t
     need = _minus(group.invariant_factors, goal)
     partners: dict[int, list] = {}
-    for labels, t in zip(*_candidates(group, k, True, n)):
+    for labels, t in zip(*_candidates(group, k, True, n)[:2]):
         partners.setdefault(need[t], []).append(_to_multiplicity(n, labels))
     out = []
-    for labels, s in zip(*_candidates(group, p, False, n)):
+    for labels, s in zip(*_candidates(group, p, False, n)[:2]):
         if subsets := partners.get(s):
             out += zip(repeat(_to_multiplicity(n, labels)), subsets)
     return out
@@ -117,9 +138,9 @@ def enum_pairs(
 
 def sequences_by_sum(group: GroupSpec, m: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of length-m multisets."""
-    return Counter(_candidates(group, _charge(group, m, False, limit), False, group.order)[1])
+    return _by_sum(group, m, False, limit)
 
 
 def subsets_by_sum(group: GroupSpec, k: int, limit: int | None = None) -> Counter:
     """Counter mapping each group sum to the number of k-subsets."""
-    return Counter(_candidates(group, _charge(group, k, True, limit), True, group.order)[1])
+    return _by_sum(group, k, True, limit)

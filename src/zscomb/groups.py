@@ -7,7 +7,7 @@ significant factor first:
 
     label = a_1 + n_1*(a_2 + n_2*(a_3 + ...))      with 0 <= a_i < n_i.
 
-The unchecked `_digits` and `_label` are the one place labels are encoded.
+The unchecked `_digits` and `_label` encode one label, `_minus` a whole table.
 """
 
 from functools import cache, lru_cache
@@ -118,8 +118,12 @@ def _label(ns: tuple[int, ...], digits) -> int:
 
 
 def _minus(ns: tuple[int, ...], goal) -> list[int]:
-    """minus[s] is the label of goal - s for every label s, goal given by its digits."""
-    return [_label(ns, map(sub, goal, _digits(ns, s))) for s in range(prod(ns))]
+    """minus[s] is the label of goal - s for each label s (goal as digits), one add per entry."""
+    out, unit = [0], 1
+    for n_i, g_i in zip(ns, goal):
+        out = [c + p for c in [(g_i - d) % n_i * unit for d in range(n_i)] for p in out]
+        unit *= n_i
+    return out
 
 
 class GroupSpec:

@@ -19,7 +19,7 @@ from zscomb import (
     verify_gcp,
     verify_subset_reciprocity,
 )
-from zscomb import analysis
+from zscomb import analysis, brute
 from zscomb.analysis import ORACLE_BUDGET
 from zscomb.cli import run
 from zscomb.groups import factorize
@@ -314,8 +314,9 @@ def _bump(real, group, by, at=()):
     return wrong
 
 
-# (name analysis imports, its wrong version, the report, the CLI leaf, the
-# failures the report must list: every failure row a verifier can build)
+# (name analysis imports, or brute's name that cnr_reciprocity_check imports
+# when called, its wrong version, the report, the CLI leaf, the failures the
+# report must list: every failure row a verifier can build)
 INJECTED = {
     "subset-reci-predicate": (
         "_subset_reci", lambda real: lambda g, k: real(g, k) != (str(g) == "4" and k == 2),
@@ -337,7 +338,7 @@ INJECTED = {
          {"group": "2,2", "p": 2, "left": "2", "right": "3", "predicate": False,
           "reason": "expected strict left > right"}]),
     "cnr-oracle": (
-        "enum_sequences", lambda real: _bump(real, "3", [()]),
+        "brute.enum_sequences", lambda real: _bump(real, "3", [()]),
         lambda: cnr_reciprocity_check(2, 3, 1), "verify cnr --n 2 --m 3 --r 1",
         [{"group": "3", "size": 2, "formula": "2", "oracle": "3"}]),
     "cnr-sides": (
@@ -363,7 +364,9 @@ INJECTED = {
 def test_a_wrong_count_shows_as_a_failure_row(
     monkeypatch, capsys, name, fake, report, argv, failures
 ):
-    monkeypatch.setattr(analysis, name, fake(getattr(analysis, name)))
+    owner, _, name = name.rpartition(".")
+    owner = brute if owner else analysis
+    monkeypatch.setattr(owner, name, fake(getattr(owner, name)))
     assert report()["failures"] == failures
     assert run(argv.split()) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == failures

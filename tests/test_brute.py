@@ -29,6 +29,8 @@ from zscomb import (
     subsets_by_sum,
     target_sum_shift,
 )
+from zscomb.brute import _candidates, _Packing
+from zscomb.groups import _label
 from zscomb.poincare import series_cross_check
 
 
@@ -321,3 +323,40 @@ def test_prefix_walk_edges_match_reference_fold():
                 for target in g.elements():
                     expected = [_vector(g, labels) for labels, s in ref if s == target]
                     assert enum(g, size, target) == expected, (g, distinct, size, target)
+
+
+def test_packing_reads_every_packed_sum_back():
+    # a packed sum of up to `width` labels reads back to its group sum, and
+    # the walk's empty prefix sums to label 0
+    for g in (g for order in range(1, 25) for g in all_abelian_groups(order)):
+        for distinct in (False, True):
+            assert list(_candidates(g, 0, distinct, g.order)[1]) == [0]
+        sums = {(): 0}  # each sorted label tuple of size <= 4 to its sum by GroupSpec.add
+        for size in range(1, 5):
+            for labels in combinations_with_replacement(g.elements(), size):
+                sums[labels] = g.add(sums[labels[:-1]], labels[-1])
+        for width in range(1, 5):
+            pack = _Packing(g, width)
+            assert [pack[packed] for packed in pack.packed] == list(g.elements()), (g, width)
+            for labels, total in sums.items():
+                if len(labels) <= width:
+                    assert pack[sum(map(pack.packed.__getitem__, labels))] == total, (g, labels)
+
+
+def _fold_by_sum(group, size, distinct):
+    """Counter of the `_label` read of each candidate's summed digits, over
+    combinations (subsets) or combinations with replacement (multisets)."""
+    pick = combinations if distinct else combinations_with_replacement
+    ns, digits = group.invariant_factors, [group.coords(lab) for lab in group.elements()]
+    return Counter(
+        _label(ns, map(sum, zip(*map(digits.__getitem__, labels))))
+        for labels in pick(group.elements(), size)
+    )
+
+
+@pytest.mark.parametrize("factors, size", [((16, 32), 2), ((4, 16), 3), ((250,), 1), ((250,), 0)])
+def test_histograms_match_the_reference_fold_in_order(factors, size):
+    g = GroupSpec(factors)
+    for distinct in (False, True):
+        hist = (subsets_by_sum if distinct else sequences_by_sum)(g, size)
+        assert list(hist.items()) == list(_fold_by_sum(g, size, distinct).items()), distinct

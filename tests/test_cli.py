@@ -648,11 +648,12 @@ def test_cold_start_loads_only_the_leaf_modules():
     assert proc.stdout == '{"count":"2"}\n'
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
     assert "zscomb.errors" in imported and not {"argparse", "gettext"} & imported
-    # a Dyck bijection compiles no counting, and a table no zerosum
+    # a Dyck bijection compiles no counting, a table no zerosum, and a sweep no brute
     for argv, leaves in (
         ("biject seq-to-dyck --group 3 --vector 2,0,0", ("dyck", "zerosum")),
         ("biject dyck-to-subset --group 5 --word 00101", ("dyck", "zerosum")),
         ("poincare table --group 2,2 --max-s 2 --max-t 2", ("counting", "poincare")),
+        ("verify gcp --max-order 12", ("analysis", "counting")),
     ):
         proc = _python("-c", (
             "import json, sys, zscomb.cli\n"
