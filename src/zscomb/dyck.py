@@ -12,11 +12,14 @@ All diagonal comparisons are the integer test a*y >= b*x, so no floating
 point is involved anywhere.
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import ge, mul
 
 from .errors import _check, _check_budget
 from .groups import GroupSpec, _check_shape, _integers
-from .zerosum import _zero_sum_input, check_vector, cyclic_shift, zero_sum_shift
+from .zerosum import _shift, _zero_sum_input, check_vector, cyclic_shift
+
+_STEPS = bytes.maketrans(b"01\0\1", b"\0\1" b"01")
 
 
 def _gaps(gaps):
@@ -52,15 +55,17 @@ def is_dyck(a: int, b: int, path) -> bool:
             raise ValueError(f"step word must have {a + b} steps over '0'/'1'")
         if path.count("1") != a:
             raise ValueError(f"step word must contain {a} east steps")
-        if not path.endswith("1"):
-            return False
-        path = word_to_gaps(path)
+        return path.endswith("1") and _above(a, b, word_to_gaps(path))
     if len(gaps := _gaps(path)) != a:
         raise ValueError(f"gap vector must have {a} entries")
     if sum(gaps) != b:
         raise ValueError(f"gaps must total {b}, got {sum(gaps)}")
-    heights = list(accumulate(gaps))
-    return all(a * heights[i - 1] >= b * i for i in range(1, a))
+    return _above(a, b, gaps)
+
+
+def _above(a: int, b: int, gaps) -> bool:
+    """:func:`is_dyck` of a well-formed gap vector: a*y >= b*x before each east step x < a."""
+    return all(map(ge, map(mul, accumulate(gaps[:-1]), repeat(a)), range(b, a * b, b)))
 
 
 def enum_dyck(a: int, b: int, limit: int | None = None) -> list[str]:
@@ -148,24 +153,22 @@ def sequence_to_dyck(group: GroupSpec, vec) -> tuple[tuple[int, ...], int]:
     _check_shape(n, m)
     lam = _cycle_lemma_start([n * x - m for x in vec])
     gaps = cyclic_shift(vec, lam)
-    ok = is_dyck(n, m, gaps)
-    _check(ok, "cycle-lemma rotation is a Dyck path", order=n, mass=m, rotation=lam)
+    _check(_above(n, m, gaps), "cycle-lemma rotation is a Dyck path", order=n, mass=m, rotation=lam)
     return gaps, lam
 
 
 def dyck_to_sequence(group: GroupSpec, gaps) -> tuple[tuple[int, ...], int]:
     """Rotate a Dyck gap vector into its unique zero-sum multiset.
 
-    Inverse direction of :func:`sequence_to_dyck`; the rotation is found by
-    the staged congruence construction.  Linear in n + m.  Returns (vector,
-    rotation amount).
+    Inverse of :func:`sequence_to_dyck` by the staged congruence construction;
+    linear in n + m.  Returns (vector, rotation amount).
     """
     gaps = check_vector(group, gaps)
-    n = group.order
-    m = sum(gaps)
-    if not is_dyck(n, m, gaps):
+    n, m = group.order, sum(gaps)
+    _check_shape(n, m)
+    if not _above(n, m, gaps):
         raise ValueError(f"{gaps} is not a valid ({n}, {m})-Dyck gap vector")
-    shift, vec = zero_sum_shift(group, gaps)
+    shift, vec = _shift(group, gaps, m)
     return vec, shift
 
 
@@ -181,8 +184,8 @@ def subset_to_dyck(group: GroupSpec, bits) -> tuple[str, int]:
     n = group.order
     _check_shape(k, n - k)
     lam = _cycle_lemma_start([k - n * b for b in bits])
-    word = "".join(map(str, cyclic_shift(bits, lam)))
-    ok = is_dyck(k, n - k, word)
+    word = bytes(cyclic_shift(bits, lam)).translate(_STEPS).decode()
+    ok = word.endswith("1") and _above(k, n - k, word_to_gaps(word))
     _check(ok, "cycle-lemma rotation is a Dyck word", order=n, size=k, rotation=lam)
     return word, lam
 
@@ -199,5 +202,5 @@ def dyck_to_subset(group: GroupSpec, word: str) -> tuple[tuple[int, ...], int]:
     k = word.count("1")
     if not is_dyck(k, n - k, word):
         raise ValueError(f"{word!r} is not a valid ({k}, {n - k})-Dyck step word")
-    shift, bits = zero_sum_shift(group, tuple(map(int, word)))
+    shift, bits = _shift(group, tuple(word.encode().translate(_STEPS)), k)
     return bits, shift

@@ -8,30 +8,24 @@ order m, and picking the unique zero-sum rotation on each side gives a
 bijection between the two collections ("reciprocity").
 
 Necklaces are serialized as strings over R, G, B in canonical rotation (the
-lexicographically least one under R < G < B).  Green only appears in the
-three-color pair bijection at the bottom of this module.  Every map here
-reads its necklace a bounded number of times and rotates by the staged
-shift, so each runs in time linear in |G| + mass.
+lexicographically least one under R < G < B); green only appears in the
+three-color pair bijection.  Every map here reads its necklace a bounded
+number of times and rotates by the staged shift, so each runs in time
+linear in |G| + mass.
 """
 
+from itertools import repeat
 from math import gcd
-from operator import add
+from operator import add, mul, neg
 
 from .errors import _check
-from .groups import GroupSpec, factorize
-from .zerosum import (
-    _zero_sum_input,
-    check_indicator,
-    check_vector,
-    cyclic_shift,
-    is_zero_sum_by_congruences,
-    sequence_sum,
-    target_sum_shift,
-    translate,
-    zero_sum_shift,
-)
+from .groups import GroupSpec, _label, factorize
+from .zerosum import _shift, _sum_digits, _zero_sum_input, check_indicator, check_vector
+from .zerosum import cyclic_shift, is_zero_sum_by_congruences, translate
 
 _RANKS = str.maketrans("RGB", "012")
+_GREEN = str.maketrans("RG", "\0\1")
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def canonical_rotation(word: str) -> str:
@@ -77,7 +71,7 @@ def sequence_to_necklace(group: GroupSpec, vec) -> str:
     n = group.order
     if gcd(n, m) != 1:
         raise ValueError(f"mass {m} is not coprime to group order {n}")
-    return canonical_rotation("".join("R" + "B" * x for x in vec))
+    return canonical_rotation("R" + "R".join(map(mul, repeat("B"), vec)))
 
 
 def necklace_to_sequence(group: GroupSpec, word: str) -> tuple[int, ...]:
@@ -88,14 +82,12 @@ def necklace_to_sequence(group: GroupSpec, word: str) -> tuple[int, ...]:
     """
     if not set(word) <= {"R", "B"}:
         raise ValueError(f"expected a two-color R/B word, got {word!r}")
-    n = word.count("R")
-    m = word.count("B")
+    n, m = word.count("R"), word.count("B")
     if n != group.order:
         raise ValueError(f"{n} red beads do not match group order {group.order}")
     if gcd(n, m) != 1:
         raise ValueError(f"bead counts ({n}, {m}) are not coprime")
-    _, vec = zero_sum_shift(group, _gaps_after(word, "R"))
-    return vec
+    return _shift(group, _gaps_after(word, "R"), m)[1]
 
 
 def reciprocity_bijection(group: GroupSpec, other: GroupSpec, vec) -> tuple[int, ...]:
@@ -108,9 +100,7 @@ def reciprocity_bijection(group: GroupSpec, other: GroupSpec, vec) -> tuple[int,
     vec, mass = _zero_sum_input(group, vec)
     if mass != m:
         raise ValueError(f"mass {mass} must equal the other group's order {m}")
-    word = "".join("R" + "B" * x for x in vec)
-    _, out = zero_sum_shift(other, _gaps_after(word, "B"))
-    return out
+    return _shift(other, _gaps_after("R" + "R".join(map(mul, repeat("B"), vec)), "B"), n)[1]
 
 
 def complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, ...], int]:
@@ -123,8 +113,7 @@ def complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, ...], int]:
     n = group.order
     if gcd(k, n) != 1:
         raise ValueError(f"subset size {k} is not coprime to group order {n}")
-    comp = tuple(1 - b for b in bits)
-    shift, out = zero_sum_shift(group, comp)
+    shift, out = _shift(group, tuple(bytes(bits).translate(_FLIP)), n - k)
     return out, shift
 
 
@@ -141,7 +130,7 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     n = group.order
     if not 1 <= k <= n - 1:
         raise ValueError(f"subset size {k} must be in [1, {n - 1}]")
-    comp = tuple(1 - b for b in bits)
+    comp = tuple(bytes(bits).translate(_FLIP))
     if not group._total:
         return comp, 0
     # k*x = e is k*a = top/2 (mod top) on the top axis and 0 on the others,
@@ -158,9 +147,6 @@ def translate_complement_bijection(group: GroupSpec, bits) -> tuple[tuple[int, .
     return out, x
 
 
-# -- three-color pair bijection ---------------------------------------------
-
-
 def pair_bijection(
     group: GroupSpec, other: GroupSpec, seq_vec, subset_bits
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -170,52 +156,37 @@ def pair_bijection(
     with sum(A) + sum(B) = 0; output: the corresponding length-q multiset and
     m-subset over `other` (order p+m).  Requires gcd(p, q+m) = gcd(q, p+m) = 1.
 
-    The pair is drawn as a necklace with p red, m green and q blue beads: A's
-    multiplicities are red runs hanging off the q+m green/blue beads, and B
-    marks which of those beads are green.  First A is rotated so its sum is
-    the identity, pinning one anchored necklace per pair.  Reading blue runs
-    against the p+m red/green beads at the rotation where that gap vector
-    sums to the identity recovers the output subset pattern; re-rotating the
-    blue gap vector so the whole output pair sums to zero finishes the map.
-    Running the same procedure from the other side inverts it.  The necklace
-    is read once, so the map is linear in |G| + p.
+    The pair is a necklace of p red, m green and q blue beads: red runs of
+    A's multiplicities before the q+m green/blue beads, green where B has a
+    1.  Pin A at its zero-sum rotation; the blue runs after the p+m red/green
+    beads, at their zero-sum rotation, give the output pattern, and rotating
+    them so the output pair sums to zero ends the map.  The same steps from
+    the other side invert it.  The necklace is read once: linear in |G| + p.
     """
     seq_vec = check_vector(group, seq_vec)
     subset_bits = check_indicator(group, subset_bits)
-    p = sum(seq_vec)
-    m = sum(subset_bits)
+    p, m = sum(seq_vec), sum(subset_bits)
     q = group.order - m
     if other.order != p + m:
-        raise ValueError(
-            f"other group's order {other.order} must equal p + m = {p + m}"
-        )
+        raise ValueError(f"other group's order {other.order} must equal p + m = {p + m}")
     if gcd(p, q + m) != 1 or gcd(q, p + m) != 1:
-        raise ValueError(
-            f"need gcd(p, q+m) = gcd(q, p+m) = 1, got (p, q, m) = {(p, q, m)}"
-        )
-    both = tuple(map(add, seq_vec, subset_bits))  # the multiset A + B
-    if sequence_sum(group, both):
+        raise ValueError(f"need gcd(p, q+m) = gcd(q, p+m) = 1, got (p, q, m) = {(p, q, m)}")
+    if any(_sum_digits(group.invariant_factors, tuple(map(add, seq_vec, subset_bits)))):
         raise ValueError("pair does not sum to the identity")
 
-    _, pinned = zero_sum_shift(group, seq_vec)
-    word = "".join(
-        "R" * pinned[i] + ("G" if subset_bits[i] else "B")
-        for i in range(group.order)
-    )
-    # Red and green beads are the markers: gaps[i] counts the blue beads
-    # after marker i, and the run ends on marker i + 1, whose color gives
-    # bit i of the pattern.
+    _, pinned = _shift(group, seq_vec, p)
+    word = "".join("R" * x + "BG"[b] for x, b in zip(pinned, subset_bits))
+    # gaps[i] counts the blue beads after red/green marker i; the color of
+    # marker i + 1, which ends that run, gives bit i of the pattern.
     gaps = _gaps_after(word.replace("G", "R"), "R")
-    pattern = cyclic_shift([1 if c == "G" else 0 for c in word if c != "B"], 1)
-    # The pattern at the zero-sum rotation of the gaps is well defined only
-    # if no other rotation has the same gaps, i.e. the gap vector is
-    # aperiodic; a proper period would make the rotation by size/l a
-    # symmetry for some prime l dividing the size.
+    marks = word.replace("B", "").translate(_GREEN).encode()
+    # The pattern at the gaps' zero-sum rotation is well defined only if no
+    # rotation by size/l, l a prime of size, fixes the gaps (aperiodic).
     size = len(gaps)
     aperiodic = all(cyclic_shift(gaps, size // l) != gaps for l, _ in factorize(size))
     _check(aperiodic, "blue gap vector is aperiodic", order=size, mass=q)
-    shift, pinned_out = zero_sum_shift(other, gaps)
-    v_bits = cyclic_shift(pattern, shift)
-    target = other.negate(sequence_sum(other, v_bits))
-    _, u_vec = target_sum_shift(other, pinned_out, target)
+    shift, pinned_out = _shift(other, gaps, q)
+    v_bits = cyclic_shift(marks, shift + 1)
+    ns = other.invariant_factors
+    _, u_vec = _shift(other, pinned_out, q, _label(ns, map(neg, _sum_digits(ns, v_bits))))
     return u_vec, v_bits

@@ -16,15 +16,13 @@ from math import gcd
 from operator import mul
 
 from .errors import _check
-from .groups import GroupSpec, _integer, _integers, _label
+from .groups import GroupSpec, _digits, _integer, _integers, _label
 
 
 def check_vector(group: GroupSpec, vec) -> tuple[int, ...]:
     vec = _integers(vec, "multiplicities")
     if len(vec) != group.order:
-        raise ValueError(
-            f"vector length {len(vec)} does not match group order {group.order}"
-        )
+        raise ValueError(f"vector length {len(vec)} does not match group order {group.order}")
     if min(vec, default=0) < 0:
         raise ValueError(f"multiplicities must be >= 0, got {vec}")
     return vec
@@ -87,10 +85,8 @@ def _sum_digits(ns: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def cyclic_shift(vec, l: int):
     """Rotate a vector left by l positions (entry at index i+l moves to i)."""
-    vec, l = tuple(vec), _integer(l, "l")
-    if not vec:
-        return vec
-    l %= len(vec)
+    vec = tuple(vec)
+    l = _integer(l, "l") % (len(vec) or 1)
     return vec[l:] + vec[:l]
 
 
@@ -123,11 +119,7 @@ def _translate(ns: tuple[int, ...], vec, digits):
 
 
 def zero_sum_shift(group: GroupSpec, vec) -> tuple[int, tuple[int, ...]]:
-    """The unique left rotation of vec whose multiset sums to the identity.
-
-    Requires gcd(mass, |G|) = 1; this is :func:`target_sum_shift` with
-    target 0.  Returns (total shift, rotated vector).
-    """
+    """:func:`target_sum_shift` to the identity: (shift, zero-sum rotation of vec)."""
     return target_sum_shift(group, vec, 0)
 
 
@@ -137,32 +129,39 @@ def target_sum_shift(group: GroupSpec, vec, target: int) -> tuple[int, tuple[int
     Requires gcd(mass, |G|) = 1.  Staged construction, one mixed-radix digit
     at a time: rotating by a multiple of n_1*...*n_{t-1} moves the t-th
     coordinate of the sum by -mass per unit while leaving coordinates below
-    t unchanged, so stage t settles the mod-n_t congruence for good.  Each
-    stage is linear in |G|.  Returns (total shift, rotated vector).
+    t unchanged, so stage t settles the mod-n_t congruence for good.  Linear
+    in |G|.  Returns (total shift, rotated vector).
     """
     vec = check_vector(group, vec)
-    goal = group.coords(target)
-    ns, n = group.invariant_factors, group.order
-    mass = sum(vec)
-    if gcd(mass, n) != 1:
-        raise ValueError(f"mass {mass} is not coprime to group order {n}")
-    out, shift, unit = vec, 0, 1
-    for axis, n_t in enumerate(ns):
-        l_t = (_sum_digits(ns, out)[axis] - goal[axis]) * pow(mass, -1, n_t) % n_t
-        out = cyclic_shift(out, l_t * unit)
-        shift += l_t * unit
+    target, mass = group.check_label(target), sum(vec)
+    if gcd(mass, group.order) != 1:
+        raise ValueError(f"mass {mass} is not coprime to group order {group.order}")
+    return _shift(group, vec, mass, target)
+
+
+def _shift(group, vec, mass, target=0):
+    """Unchecked :func:`target_sum_shift`: one prefix-sum pass, one rotation."""
+    ns = group.invariant_factors
+    goal, pre, shift, unit = _digits(ns, target), list(accumulate(vec, initial=0)), 0, 1
+    for n_t, g_t in zip(ns, goal):
+        shift += (_stage_digit(pre, unit, n_t, shift) - g_t) * pow(mass, -1, n_t) % n_t * unit
         unit *= n_t
+    del pre  # one pass alive at a time
+    out = cyclic_shift(vec, shift)
     reached = _sum_digits(ns, out) == goal
     _check(reached, "staged shift reaches the target sum", target=target, mass=mass, shift=shift)
     return shift, out
+
+
+def _stage_digit(pre, u, n_t, s):
+    """:func:`_sum_digits`' digit at stride u for pre's vector rotated left by s."""
+    n, mass = len(pre) - 1, pre[-1]
+    total = sum(pre[s % u : n : u]) + mass * (s // u) - (n // u) * pre[s]
+    return ((n // u - 1) * mass - total) % n_t
 
 
 def rotations_with_sum(group: GroupSpec, vec, target: int) -> list[int]:
     """All shifts l whose rotation sums to target; brute scan for cross-checks."""
     vec = check_vector(group, vec)
     group.check_label(target)
-    return [
-        l
-        for l in range(group.order)
-        if sequence_sum(group, cyclic_shift(vec, l)) == target
-    ]
+    return [l for l in range(group.order) if sequence_sum(group, cyclic_shift(vec, l)) == target]

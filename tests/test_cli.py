@@ -12,7 +12,9 @@ import sys
 import pytest
 
 import zscomb
-from zscomb import counting, dyck
+# necklaces too is imported here, before a BROKEN_STEPS case patches zerosum,
+# so it never binds the broken cyclic_shift for the tests that follow
+from zscomb import counting, dyck, necklaces  # noqa: F401
 from zscomb.cli import COMMANDS, LIMIT, UsageError, _plain, build_parser, main, run
 
 
@@ -760,10 +762,19 @@ BROKEN_STEPS = [
         "biject translate-complement --group 4 --subset 1,0,0,0",
         "translated complement is zero-sum",
     ),
+    (
+        # a factorization that lists 1 as a prime tests the rotation by the
+        # whole size, which fixes every gap vector
+        "necklaces", "factorize", "lambda n: real(n) + ((1, 1),)",
+        "biject pair --group 3 --other 4 --vector 2,0,0 --subset 0,1,1",
+        "blue gap vector is aperiodic",
+    ),
 ]
 
 
-@pytest.mark.parametrize("module,attr,broken,line,check", BROKEN_STEPS, ids=["staged-shift", "translate"])
+@pytest.mark.parametrize(
+    "module,attr,broken,line,check", BROKEN_STEPS, ids=["staged-shift", "translate", "aperiodic"]
+)
 def test_broken_step_fails_its_post_check(capsys, monkeypatch, module, attr, broken, line, check):
     home = importlib.import_module(f"zscomb.{module}")
     monkeypatch.setattr(home, attr, eval(broken, {"real": getattr(home, attr)}))

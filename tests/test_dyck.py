@@ -3,7 +3,7 @@
 import hashlib
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -61,6 +61,60 @@ def test_is_dyck_gap_and_step_forms_agree():
         is_dyck(3, 2, "0011")  # wrong length
     with pytest.raises(ValueError):
         is_dyck(4, 2, "001011")  # endpoints not coprime
+
+
+def _dyck_by_steps(a, b, word):
+    """Reference: walk the word, requiring a*y >= b*x after every east step."""
+    x = y = 0
+    for step in word:
+        if step == "1":
+            x += 1
+            if a * y < b * x:
+                return False
+        else:
+            y += 1
+    return True
+
+
+def _dyck_by_gaps(a, b, gaps):
+    """Reference: east step i (1 <= i < a) comes after gaps[0] + ... + gaps[i-1] north steps."""
+    return all(a * sum(gaps[:i]) >= b * i for i in range(1, a))
+
+
+def test_is_dyck_matches_per_index_references():
+    for a, b in ((a, t - a) for t in range(2, 14) for a in range(1, t)):
+        if gcd(a, b) != 1:
+            continue
+        words = 0
+        for east in combinations(range(a + b), a):
+            word = "".join("1" if i in east else "0" for i in range(a + b))
+            assert is_dyck(a, b, word) is _dyck_by_steps(a, b, word), (a, b, word)
+            words += _dyck_by_steps(a, b, word)
+        gap_vectors = 0
+        for cuts in combinations_with_replacement(range(b + 1), a - 1):  # heights of east steps
+            gaps = tuple(y - x for x, y in zip((0, *cuts), (*cuts, b)))
+            assert is_dyck(a, b, gaps) is _dyck_by_gaps(a, b, gaps), (a, b, gaps)
+            gap_vectors += _dyck_by_gaps(a, b, gaps)
+        assert words == gap_vectors == rational_catalan(a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b,path,reason",
+    [
+        (4, 2, "001011", "(4, 2) are not coprime"),
+        (0, 2, "00", "need a, b >= 1, got (0, 2)"),
+        (3, 2, "0011", "step word must have 5 steps over '0'/'1'"),
+        (3, 2, "00a11", "step word must have 5 steps over '0'/'1'"),
+        (3, 2, "00001", "step word must contain 3 east steps"),
+        (3, 2, (1, 1), "gap vector must have 3 entries"),
+        (3, 2, (1, 1, 1), "gaps must total 2, got 3"),
+        (3, 2, (3, -1, 0), "gaps must be >= 0, got (3, -1, 0)"),
+    ],
+)
+def test_is_dyck_refuses_malformed_paths(a, b, path, reason):
+    with pytest.raises(ValueError) as exc:
+        is_dyck(a, b, path)
+    assert str(exc.value) == reason
 
 
 def test_is_dyck_refuses_non_integer_gaps():

@@ -2,7 +2,9 @@
 
 import random
 from functools import reduce
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -27,7 +29,7 @@ from zscomb import (
     zero_sum_shift,
 )
 from zscomb.analysis import _groups_up_to
-from zscomb.zerosum import _zero_sum_input
+from zscomb.zerosum import _stage_digit, _sum_digits, _zero_sum_input
 
 small_groups = (
     st.lists(st.integers(2, 9), max_size=3)
@@ -217,3 +219,22 @@ def test_target_sum_shift_matches_zero_sum_shift():
     g = GroupSpec((2, 2, 4))
     vec = (1, 0, 2, 0, 1, 0, 0, 0, 3, 0, 0, 1, 0, 0, 1, 0)  # mass 9, coprime to 16
     assert target_sum_shift(g, vec, 0)[1] == zero_sum_shift(g, vec)[1]
+
+
+def test_stage_digits_read_every_rotation_off_one_prefix_pass():
+    # The staged shift reads each stage's digit off the unrotated prefix
+    # sums; at every shift that digit must be the rotated vector's own, and
+    # every target must land on the one shift the rotation scan finds.
+    rng = random.Random(48)
+    for g in _groups_up_to(48):
+        ns, n = g.invariant_factors, g.order
+        vec = [rng.randint(0, 3) for _ in range(n)]
+        while gcd(sum(vec), n) != 1:
+            vec[rng.randrange(n)] += 1
+        pre = list(accumulate(vec, initial=0))
+        units = list(accumulate(ns, mul, initial=1))
+        for s in range(n):
+            digits = tuple(_stage_digit(pre, u, n_t, s) for n_t, u in zip(ns, units))
+            assert digits == _sum_digits(ns, cyclic_shift(vec, s)), (g, vec, s)
+        for target in g.elements():
+            assert [target_sum_shift(g, vec, target)[0]] == rotations_with_sum(g, vec, target)
