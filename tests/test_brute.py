@@ -97,6 +97,15 @@ def test_enum_pairs_sums():
             assert g.add(sequence_sum(g, vec), sequence_sum(g, bits)) == target
 
 
+def test_target_defaults_to_zero():
+    # on C_4 at size 2 targets 0 and 1 differ: 1 against 2 subsets, 3 against 2
+    # multisets, 14 against 16 pairs, so a default of 1 shows in every call
+    g = GroupSpec((4,))
+    assert count_subsets(g, 2) == 1 and enum_subsets(g, 2) == [(0, 1, 0, 1)]
+    assert count_sequences(g, 2) == len(enum_sequences(g, 2)) == 3
+    assert len(enum_pairs(g, 2, 2)) == 14
+
+
 def test_budget_errors():
     g = GroupSpec((12,))
     with pytest.raises(EnumerationLimitError):

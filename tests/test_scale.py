@@ -3,18 +3,20 @@ listings at 2^12, and a series cross-check past enumeration's reach.
 
 Each map is linear in |G| + mass, so this runs in well under a second; a
 map that scans all rotations or re-reads the necklace per marker would take
-minutes here.  An enumerator's setup is O(|G| * rank), so listing the
-2048 one-element subsets needs kilobytes, not an |G| x |G| table; a
-listing solves each (size - 1)-label prefix for its last label, so the
-pairs of one sum in a group of order 4096 cost about their output, where a
-walk over all 8 million pairs would take seconds.  The
-series oracle expands the group algebra, so a (32, 32) table of a group of
-order 32 takes milliseconds where enumerating its multisets would not end.
+minutes here.  CI runs the same round trip, every_map_both_ways, at order
+300,000, where such a map would take hours.  An enumerator's setup is
+O(|G| * rank), so listing the 2048 one-element subsets needs kilobytes, not
+an |G| x |G| table; a listing solves each (size - 1)-label prefix for its
+last label, so the pairs of one sum in a group of order 4096 cost about
+their output, where a walk over all 8 million pairs would take seconds.
+The series oracle expands the group algebra, so a (32, 32) table of a group
+of order 32 takes milliseconds where enumerating its multisets would not end.
 """
 
 import random
 import tracemalloc
 from itertools import compress
+from math import gcd
 
 from zscomb import (
     GroupSpec,
@@ -40,47 +42,57 @@ from zscomb import (
 )
 
 
-def test_every_bijection_both_ways_at_ten_thousand():
-    rng = random.Random(10_000)
-    g = GroupSpec((5, 2000))  # one even factor: translate-complement translates
+def every_map_both_ways(factors):
+    """Run every bijection both ways on seeded zero-sum inputs in the group
+    with these invariant factors.  The mass m is the least k >= |G| // 3
+    coprime to |G|; the pair map takes p red beads, the least k >= m with
+    gcd(k, |G|) = gcd(|G| - m, k + m) = 1, m green and |G| - m blue."""
+    g = GroupSpec(factors)
     n = g.order
+    rng = random.Random(n)
+    m = next(k for k in range(n // 3, n) if gcd(k, n) == 1)
+    p = next(k for k in range(m, n) if gcd(k, n) == gcd(n - m, k + m) == 1)
 
     def multiset(mass):
         vec = [0] * n
-        for _ in range(mass):
-            vec[rng.randrange(n)] += 1
+        for label in rng.choices(range(n), k=mass):
+            vec[label] += 1
         return vec
 
-    def subset(size):
-        labels = set(rng.sample(range(n), size))
-        return tuple(int(i in labels) for i in range(n))
-
-    _, vec = zero_sum_shift(g, multiset(3333))
+    _, vec = zero_sum_shift(g, multiset(m))
     gaps, rotation = sequence_to_dyck(g, vec)
     assert dyck_to_sequence(g, gaps) == (vec, (n - rotation) % n)
     assert necklace_to_sequence(g, sequence_to_necklace(g, vec)) == vec
 
-    h = GroupSpec((3333,))
+    h = GroupSpec((m,))
     image = reciprocity_bijection(g, h, vec)
     assert sum(image) == n and is_zero_sum_by_congruences(h, image)
     assert reciprocity_bijection(h, g, image) == vec
 
-    _, bits = zero_sum_shift(g, subset(3333))
+    green = [0] * n
+    for label in rng.sample(range(n), m):
+        green[label] = 1
+    green = tuple(green)
+    _, bits = zero_sum_shift(g, green)
     word, rotation = subset_to_dyck(g, bits)
     assert dyck_to_subset(g, word) == (bits, (n - rotation) % n)
     comp, _ = complement_bijection(g, bits)
     assert complement_bijection(g, comp)[0] == bits
-    for size, source in ((3333, bits), (n - 3333, comp)):
+    image, _ = translate_complement_bijection(g, bits)
+    assert sum(image) == n - m and is_zero_sum_by_congruences(g, image)
+    for source in (comp, image):
         out, _ = translate_complement_bijection(g, source)
-        assert sum(out) == n - size and is_zero_sum_by_congruences(g, out)
+        assert sum(out) == m and is_zero_sum_by_congruences(g, out)
 
-    # pair: p = 3333 red, m = 3000 green, q = 7000 blue beads
-    other = GroupSpec((6333,))
-    green = subset(3000)
-    _, red = target_sum_shift(g, multiset(3333), g.negate(sequence_sum(g, green)))
+    other = GroupSpec((p + m,))
+    _, red = target_sum_shift(g, multiset(p), g.negate(sequence_sum(g, green)))
     u_vec, v_bits = pair_bijection(g, other, red, green)
-    assert sum(u_vec) == 7000 and sum(v_bits) == 3000
+    assert sum(u_vec) == n - m and sum(v_bits) == m
     assert pair_bijection(other, g, u_vec, v_bits) == (red, green)
+
+
+def test_every_bijection_both_ways_at_ten_thousand():
+    every_map_both_ways((5, 2000))  # one even factor: translate-complement translates
 
 
 def test_enum_subsets_memory_is_linear_in_the_group():
