@@ -20,15 +20,20 @@ that enumerate; the ZSCOMB_LIMIT environment variable sets its default.
 
 A plain line (family, leaf, `--flag value` pairs, maybe `--pretty`) is read
 straight from COMMANDS; argparse is imported only for other lines: --help,
-usage errors and spellings such as `--flag=value`.
+usage errors and spellings such as `--flag=value`.  Compact JSON comes from
+json's C encoder (`_json`) without importing json; `--pretty` imports it.
 """
 
-import json
 import os
 import sys
 
 from .errors import EnumerationLimitError, ExactDivisionError, InvariantError, _check_budget
 from .groups import GroupSpec, _decimal
+
+try:  # the C encoder that json.dumps calls; an interpreter without it falls back to json
+    from _json import encode_basestring_ascii, make_encoder
+except ImportError:
+    make_encoder = None
 
 
 class UsageError(ValueError):
@@ -250,7 +255,12 @@ def run(argv=None) -> int:
             payload.update(check=exc.check, context=exc.context)
     except (MemoryError, OverflowError) as exc:
         payload, code = {"error": type(exc).__name__, "reason": str(exc) or "out of memory"}, 5
-    print(json.dumps(payload, indent=2) if pretty else json.dumps(payload, separators=(",", ":")))
+    if make_encoder and not pretty:  # the bytes of json.dumps(payload, separators=(",", ":"))
+        encode = make_encoder({}, None, encode_basestring_ascii, None, ":", ",", False, False, True)
+        print("".join(encode(payload, 0)))
+    else:
+        import json
+        print(json.dumps(payload, indent=2) if pretty else json.dumps(payload, separators=(",", ":")))
     return code
 
 

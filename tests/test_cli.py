@@ -14,7 +14,7 @@ import pytest
 import zscomb
 # necklaces too is imported here, before a BROKEN_STEPS case patches zerosum,
 # so it never binds the broken cyclic_shift for the tests that follow
-from zscomb import counting, dyck, necklaces  # noqa: F401
+from zscomb import cli, counting, dyck, necklaces  # noqa: F401
 from zscomb.cli import COMMANDS, LIMIT, UsageError, _plain, build_parser, main, run
 
 
@@ -541,6 +541,33 @@ def test_pretty_flag(capsys):
     assert json.loads(out) == {"count": "5"}
 
 
+# escapes, control characters, non-ASCII text (a lone surrogate too), None,
+# booleans, integers and nested or empty containers
+WRITER_PAYLOADS = (
+    {"reason": 'say "no" \\ \t\n\r\b\f\x00\x1f\x7f /', "text": "\u00e9 \u2211 \U0001d53d \u2028"},
+    {"surrogate": "\ud800", "none": None, "yes": True, "no": False, "int": -3},
+    {"empty": [{}, []], "nested": [[[], {"k": [None, {}]}]], "": ""},
+)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["_json", "json"])
+def test_compact_output_is_json_dumps(capsys, monkeypatch, fallback):
+    if fallback:  # an interpreter without _json
+        monkeypatch.setattr(cli, "make_encoder", None)
+
+    def compact(payload):
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+
+    report = zscomb.verify_subset_reciprocity(70)
+    assert len(report["rows"]) >= 3000
+    assert invoke(capsys, "verify", "subset-reci", "--max-order", "70") == (0, compact(report))
+    error = {"error": "ValueError", "reason": "max_order must be >= 1, got 0"}
+    assert invoke(capsys, *"verify gcp --max-order 0 --primes 4".split()) == (2, compact(error))
+    for payload in WRITER_PAYLOADS:
+        monkeypatch.setattr(cli, "_encode", lambda value, fields, payload=payload: payload)
+        assert invoke(capsys, *"count catalan --a 2 --b 3".split()) == (0, compact(payload))
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "count" in capsys.readouterr().out
@@ -650,6 +677,12 @@ def test_cold_start_loads_only_the_leaf_modules():
     assert proc.stdout == '{"count":"2"}\n'
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
     assert "zscomb.errors" in imported and not {"argparse", "gettext"} & imported
+    # compact JSON comes from _json's encoder; only --pretty imports json
+    assert "_json" in imported and not {"json", "json.decoder", "json.encoder"} & imported
+    pretty = "count catalan --a 2 --b 3 --pretty".split()
+    proc = _python("-X", "importtime", "-m", "zscomb.cli", *pretty)
+    assert proc.stdout == '{\n  "count": "2"\n}\n'
+    assert "json" in {line.split("|")[-1].strip() for line in proc.stderr.splitlines()}
     # a Dyck bijection compiles no counting, a table no zerosum, and a sweep no brute
     for argv, leaves in (
         ("biject seq-to-dyck --group 3 --vector 2,0,0", ("dyck", "zerosum")),

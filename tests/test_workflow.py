@@ -29,3 +29,14 @@ def test_ci_runs_every_map_both_ways_at_scale():
         and all(order in run for order in ("300001", "150000", "60000"))
         for run in (step.get("run", "") for step in steps)
     )
+
+
+def test_ci_reads_the_cli_status_behind_a_closed_pipe():
+    # bash without pipefail reports the pipeline's last status (head's 0), so the
+    # step must read the CLI's own from PIPESTATUS
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    (run,) = [step["run"] for step in steps if "| head -c" in step.get("run", "")]
+    assert "zscomb.cli count subsets --group 262144 --size 131072" in run
+    assert 'status="${PIPESTATUS[0]}"' in run and 'test "$status" -eq 4' in run
+    assert "grep -q Traceback" in run
