@@ -6,7 +6,9 @@ zero-sum counts.  The verify_* functions sweep every abelian group up to a
 given order, compare predicate against computed counts, and return a JSON-
 ready report: {"theorem": ..., "scanned": N, "failures": [...], "rows": [...]}.
 A failure entry means the claimed equivalence broke; verifiers never raise
-on mathematical grounds.
+on mathematical grounds.  A sweep lists its groups in one walk over the
+chains, and reads its counts from table rows and columns or, in verify_gcp,
+from one target-0 profile per group through the unchecked `_pair_count`.
 
 Counts inside reports are decimal strings so arbitrary-precision values
 survive any JSON consumer.
@@ -15,9 +17,10 @@ survive any JSON consumer.
 from functools import cache
 from math import gcd
 
-from .counting import count_sequences, pair_count_table, rational_catalan
+from .counting import _pair_count, count_sequences, pair_count_table, rational_catalan
 from .errors import EnumerationLimitError
-from .groups import GroupSpec, _decimal, _integer, divisors, is_prime, normalize_group
+from .groups import (
+    GroupSpec, _decimal, _integer, character_profile, divisors, is_prime, normalize_group)
 
 # Enumeration is only consulted when the candidate space is this small.
 ORACLE_BUDGET = 200_000
@@ -55,7 +58,14 @@ def _max_order(max_order) -> int:
 
 
 def _groups_up_to(max_order: int) -> list[GroupSpec]:
-    return [g for o in range(1, _max_order(max_order) + 1) for g in all_abelian_groups(o)]
+    """Every group of order <= max_order, sorted by (order, chain), in one walk
+    that extends each chain by the multiples of its top factor in bound."""
+    n = _max_order(max_order)
+    level, found = [(f, (f,)) for f in range(2, n + 1)], [(1, ())]  # (order, chain)
+    while level:
+        found += level
+        level = [(o * f, c + (f,)) for o, c in level for f in range(c[-1], n // o + 1, c[-1])]
+    return [GroupSpec(c) for _, c in sorted(found)]
 
 
 def _report(theorem: str, rows: list, failures: list) -> dict:
@@ -93,15 +103,12 @@ def verify_subset_reciprocity(max_order: int = 16) -> dict:
     for group in _groups_up_to(max_order):
         n, name = group.order, str(group)
         counts = pair_count_table(group, 0, 0, n - 1)[0][1:]  # k = 1..n-1
-        for k, ck, cnk in zip(range(1, n), counts, reversed(counts)):
+        texts = list(map(text, counts))
+        for k, ck, cnk, tk, tnk in zip(
+            range(1, n), counts, reversed(counts), texts, reversed(texts)
+        ):
             pred = _subset_reci(group, k)
-            row = {
-                "group": name,
-                "k": k,
-                "count_k": text(ck),
-                "count_nk": text(cnk),
-                "predicate": pred,
-            }
+            row = {"group": name, "k": k, "count_k": tk, "count_nk": tnk, "predicate": pred}
             if pred != (ck == cnk):
                 failures.append({**row, "reason": "predicate mismatch"})
             if not pred:
@@ -142,9 +149,9 @@ def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     rights = {p: [row[0] for row in pair_count_table(GroupSpec((p,)), 0, max_order, 0)]
               for p in primes}  # rights[p][m] = |M(C_p, m)|
     for group in _groups_up_to(max_order):  # listed only once the primes are checked
-        name = str(group)
+        name, profile = str(group), character_profile(group, 0)
         for p in primes:
-            left = count_sequences(group, p, 0)
+            left = _pair_count(group, profile, p, 0)
             right = rights[p][group.order]
             pred = _gcp(group, p)
             row = {

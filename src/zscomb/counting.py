@@ -4,18 +4,20 @@ One divisor sum over the target's memoised character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
 subsets are its two edges, and :func:`pair_dimension` is the pair count at
 target 0.  Each public count checks its inputs once (the target by reading
-its profile) and then runs the unchecked sum, `_pair_count`, which calls
+its profile) and then runs the unchecked sum, `_pair_count`, which stops at
+the first profile divisor past gcd(p, k) (the profile ascends) and calls
 ``math.comb`` itself while both sizes are below the cutoff of :func:`binomial`
 (past it, :func:`prime_power_binomial`).  :func:`pair_count_table` checks a
-whole table's inputs once and fills it divisor by divisor: one signed subset
-column from the recurrence of :func:`binomial_row`, added into rows 0, d, 2d,
-... times a running factor chi * C(n/d + i - 1, i).  :func:`exact_div` turns
-any non-exact division into a loud error as each value is a cardinality.
+whole table's inputs once and fills it divisor by divisor: one subset column
+from the recurrence of :func:`binomial_row`, signed by one slice, added into
+rows 0, d, 2d, ... times a running factor chi * C(n/d + i - 1, i).
+:func:`exact_div` turns any non-exact division into a loud error as each
+value is a cardinality.
 """
 
 from itertools import compress
-from math import comb, isqrt
-from operator import index, mul
+from math import comb, gcd, isqrt
+from operator import index, mul, neg
 
 from .errors import ExactDivisionError
 from .groups import GroupSpec, _check_shape, _decimal, _integer, _integers, character_profile
@@ -153,9 +155,11 @@ def _pair_count(group: GroupSpec, profile, p: int, k: int) -> int:
     if k > n:
         return 0
     c = comb if p < _COMB_CUTOFF and k < _COMB_CUTOFF else binomial  # no frame per term
-    total = 0
-    for d, chi in profile:
-        if p % d == 0 and k % d == 0:
+    total, top = 0, gcd(p, k) or n  # a term's d divides top, and every d divides n
+    for d, chi in profile:  # d ascends, so no later d divides top
+        if d > top:
+            break
+        if top % d == 0:
             sign = -1 if (k + k // d) % 2 else 1
             nd, pd, kd = n // d, p // d, k // d
             total += chi * sign * c(nd + pd - 1, pd) * c(nd, kd)
@@ -177,10 +181,10 @@ def pair_count_table(group: GroupSpec, target: int, max_s: int, max_t: int) -> l
     rows = [[0] * (max_t + 1) for _ in range(max_s + 1)]
     for d, chi in profile:
         nd = n // d
-        col = [
-            (k, -c if (k + k // d) % 2 else c)
-            for k, c in zip(range(0, top + 1, d), binomial_row(nd, top // d))
-        ]
+        col = binomial_row(nd, top // d)
+        if d % 2 == 0:  # (-1)^(k + k/d) = (-1)^j at k = d*j, and 1 for odd d
+            col[1::2] = map(neg, col[1::2])
+        col = list(zip(range(0, top + 1, d), col))
         f = chi  # chi * C(nd + i - 1, i) for row p = d * i
         for i, row in enumerate(rows[::d]):
             for k, c in col:

@@ -76,6 +76,24 @@ def test_all_abelian_groups_refuses_what_factorize_refuses():
         assert str(err.value) == reason
 
 
+def test_groups_up_to_walks_to_the_per_order_listing():
+    # one walk over all chains against all_abelian_groups' divisor recursion,
+    # which serves a single order of any size
+    listed = analysis._groups_up_to(2048)
+    assert listed == [g for o in range(1, 2049) for g in all_abelian_groups(o)]
+    assert len(listed) == 4426
+    assert [str(g) for g in analysis._groups_up_to(8)] == [
+        "1", "2", "3", "2,2", "4", "5", "6", "7", "2,2,2", "2,4", "8"]
+    for bad, reason in (
+        (0, "max_order must be >= 1, got 0"),
+        (-1, "max_order must be >= 1, got -1"),
+        (2.5, "max_order must be an integer, got 2.5"),
+    ):
+        with pytest.raises(ValueError) as err:
+            analysis._groups_up_to(bad)
+        assert str(err.value) == reason
+
+
 def test_subset_reci_predicate():
     assert subset_reci_predicate(GroupSpec((6,)), 2) is False
     assert subset_reci_predicate(GroupSpec((4,)), 1) is True
@@ -331,7 +349,7 @@ INJECTED = {
          {"group": "3,6", "k": 16, "count_k": "7", "count_nk": "8", "predicate": False,
           "reason": "wrong inequality direction"}]),
     "gcp": (
-        "count_sequences", lambda real: _bump(_bump(real, "3", 1), "2,2", -2),
+        "_pair_count", lambda real: _bump(_bump(real, "3", 1), "2,2", -2),
         lambda: verify_gcp(4, (2,)), "verify gcp --max-order 4 --primes 2",
         [{"group": "3", "p": 2, "left": "3", "right": "2", "predicate": True,
           "reason": "predicate mismatch"},

@@ -23,7 +23,9 @@ from zscomb import (
     subsets_by_sum,
 )
 from zscomb import groups, zerosum
-from zscomb.counting import _COMB_CUTOFF, binomial, binomial_row, prime_power_binomial
+from zscomb.counting import (
+    _COMB_CUTOFF, _pair_count, binomial, binomial_row, pair_count_table, prime_power_binomial)
+from zscomb.groups import character_profile, character_sum, divisors
 from zscomb.poincare import _sum_rows
 
 
@@ -201,6 +203,31 @@ def test_count_pairs_coefficient_against_oracle():
                     for k in range(0, n + 1):
                         expected = len(enum_pairs(g, p, k, target))
                         assert count_pairs_coefficient(g, target, p, k) == expected
+
+
+def test_pair_count_equals_the_unpruned_divisor_sum():
+    # the sum over every d | n, with no early stop and every sign read from
+    # (-1)^(k + k/d); math.comb is 0 for k > n
+    def unpruned(n, sums, p, k):
+        total = sum(
+            chi * (-1) ** (k + k // d) * comb(n // d + p // d - 1, p // d) * comb(n // d, k // d)
+            for d, chi in sums if p % d == 0 and k % d == 0
+        )
+        assert total % n == 0
+        return total // n
+
+    for g in groups_through(48):
+        n, checked = g.order, set()
+        for target in g.elements():
+            sums = tuple((d, character_sum(g, target, d)) for d in divisors(n))
+            profile, sizes = character_profile(g, target), range(n + 2)
+            if (sums, profile) in checked:
+                continue  # the same inputs as an earlier target
+            checked.add((sums, profile))
+            expected = [[unpruned(n, sums, p, k) for k in sizes] for p in sizes]
+            pruned = [[_pair_count(g, profile, p, k) for k in sizes] for p in sizes]
+            assert pruned == expected, (g, target)
+            assert pair_count_table(g, target, n + 1, n + 1) == expected, (g, target)
 
 
 def test_count_sequences_total_over_targets():
