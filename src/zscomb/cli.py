@@ -24,6 +24,7 @@ usage errors and spellings such as `--flag=value`.  Compact JSON comes from
 json's C encoder (`_json`) without importing json; `--pretty` imports it.
 """
 
+import atexit
 import os
 import sys
 
@@ -277,5 +278,16 @@ def main() -> None:
     sys.exit(code)
 
 
+def entry() -> None:
+    """The process's entry: main, atexit handlers, flushed streams, then os._exit (no teardown)."""
+    try:
+        main()
+    except SystemExit as exc:
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(exc.code)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

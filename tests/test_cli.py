@@ -870,3 +870,48 @@ def test_size_past_memory_exits_5_without_traceback(max_t, error, reason):
     assert "Traceback" not in proc.stderr
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": error, "reason": reason}
+
+
+# A process reaches `entry` three ways: `python -m zscomb.cli`, the module run as
+# __main__ after a patch (runpy, as -m does), and the console script's call.
+LAUNCHERS = {
+    "runpy": "import runpy\nrunpy.run_module('zscomb.cli', run_name='__main__')\n",
+    "entry": "from zscomb.cli import entry\nentry()\n",
+}
+# (argv, exit code, patch as (module, name, replacement)): a patched count
+# reaches exits 1, 3 and 5; `python -m` runs only the unpatched lines
+PROCESS_CASES = [
+    ("scan reciprocity --max-order 40", 0, None),  # about 249 KB, past a 64 KiB pipe buffer
+    ("count catalan --a 3", 2, None),
+    ("verify cnr --n 2 --m 3 --r 1", 1,
+     ("zscomb.analysis", "rational_catalan", "lambda a, b: real(a, b) + 1")),
+    ("count sequences --group 7 --length 5", 3,
+     ("zscomb.counting", "comb", "lambda a, b: real(a, b) + 1")),
+    ("count catalan --a 3 --b 5", 5,
+     ("zscomb", "rational_catalan", "lambda a, b: [None] * (1 << 62)")),
+]
+
+
+@pytest.mark.parametrize("launcher,line,code,patch", [
+    pytest.param(launcher, *case, id=f"{launcher}-exit-{case[1]}")
+    for launcher in ("-m", *LAUNCHERS) for case in PROCESS_CASES
+    if launcher != "-m" or case[2] is None
+])
+def test_process_entry_writes_what_run_writes(capsys, monkeypatch, launcher, line, code, patch):
+    # the entry skips module teardown, yet the output arrives whole, the exit
+    # code is run's, and an atexit handler registered before it still runs
+    script = "import atexit, sys\natexit.register(sys.stderr.write, 'atexit handler ran\\n')\n"
+    if patch:
+        module, name, broken = patch
+        home = importlib.import_module(module)
+        monkeypatch.setattr(home, name, eval(broken, {"real": getattr(home, name)}), raising=False)
+        script += f"import {module} as home\nreal = home.{name}\nhome.{name} = {broken}\n"
+    want = invoke(capsys, *line.split())
+    assert want[0] == code and (code == 0 or json.loads(want[1]).keys() & {"error", "failures"})
+    if launcher == "-m":
+        proc, marker = _python("-m", "zscomb.cli", *line.split()), ""
+    else:
+        proc = _python("-c", script + LAUNCHERS[launcher], *line.split())
+        marker = "atexit handler ran\n"
+    assert (proc.returncode, proc.stdout) == want
+    assert proc.stderr == marker  # no "Exception ignored", no "Traceback"

@@ -40,3 +40,16 @@ def test_ci_reads_the_cli_status_behind_a_closed_pipe():
     assert "zscomb.cli count subsets --group 262144 --size 131072" in run
     assert 'status="${PIPESTATUS[0]}"' in run and 'test "$status" -eq 4' in run
     assert "grep -q Traceback" in run
+
+
+def test_ci_compares_the_console_script_with_the_module():
+    # the installed script and `python -m` both end through cli.entry; the step
+    # compares a report past the pipe buffer byte for byte and keeps the exit-2 check
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    name = "The installed console script runs"
+    (run,) = [step["run"] for step in steps if step.get("name") == name]
+    assert "zscomb scan reciprocity --max-order 40 >" in run
+    assert "python -m zscomb.cli scan reciprocity --max-order 40 >" in run
+    assert 'cmp "$RUNNER_TEMP/scan-script.json" "$RUNNER_TEMP/scan-module.json"' in run
+    assert "zscomb count catalan --a 3 >" in run and 'test "$status" -eq 2' in run
