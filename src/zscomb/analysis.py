@@ -7,15 +7,16 @@ given order, compare predicate against computed counts, and return a JSON-
 ready report: {"theorem": ..., "scanned": N, "failures": [...], "rows": [...]}.
 A failure entry means the claimed equivalence broke; verifiers never raise
 on mathematical grounds.  A sweep lists its groups in one walk over the
-chains, and reads its counts from table rows and columns or, in verify_gcp,
-from one target-0 profile per group through the unchecked `_pair_count`.
+chains (`GroupSpec._of` builds each without validating it again), and reads
+its counts from table rows and columns or, in verify_gcp, from one target-0
+profile per group through the unchecked `_pair_count`.
 
 Counts inside reports are decimal strings so arbitrary-precision values
 survive any JSON consumer.
 """
 
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 from .counting import _pair_count, count_sequences, pair_count_table, rational_catalan
 from .errors import EnumerationLimitError
@@ -48,7 +49,7 @@ def _chains(n: int, base: int):
 def all_abelian_groups(order: int) -> list[GroupSpec]:
     """Every abelian group of the given order, one per invariant-factor chain
     n_1 | ... | n_r with product order, sorted by chain (divisors ascend)."""
-    return [GroupSpec(chain) for chain in _chains(order, 1)]
+    return [GroupSpec._of(chain) for chain in _chains(order, 1)]
 
 
 def _max_order(max_order) -> int:
@@ -65,7 +66,7 @@ def _groups_up_to(max_order: int) -> list[GroupSpec]:
     while level:
         found += level
         level = [(o * f, c + (f,)) for o, c in level for f in range(c[-1], n // o + 1, c[-1])]
-    return [GroupSpec(c) for _, c in sorted(found)]
+    return [GroupSpec._of(c) for _, c in sorted(found)]
 
 
 def _report(theorem: str, rows: list, failures: list) -> dict:
@@ -137,7 +138,7 @@ def gcp_predicate(group: GroupSpec, p: int) -> bool:
 
 def _gcp(group: GroupSpec, p: int) -> bool:
     """:func:`gcp_predicate` on a checked prime p."""
-    return all(f % p for f in group.invariant_factors[:-1])
+    return prod(group.invariant_factors[:-1]) % p != 0  # p is prime
 
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:

@@ -9,8 +9,8 @@ the first profile divisor past gcd(p, k) (the profile ascends) and calls
 ``math.comb`` itself while both sizes are below the cutoff of :func:`binomial`
 (past it, :func:`prime_power_binomial`).  :func:`pair_count_table` checks a
 whole table's inputs once and fills it divisor by divisor: one subset column
-from the recurrence of :func:`binomial_row`, signed by one slice, added into
-rows 0, d, 2d, ... times a running factor chi * C(n/d + i - 1, i).
+from :func:`binomial_row` (a recurrence to n/2, then its mirror), signed by one
+slice, added into rows 0, d, 2d, ... times a running chi * C(n/d + i - 1, i).
 :func:`exact_div` turns any non-exact division into a loud error as each
 value is a cardinality.
 """
@@ -79,9 +79,13 @@ def prime_power_binomial(n: int, k: int) -> int:
 
 
 def binomial_row(n: int, top: int) -> list[int]:
-    """[C(n, j) for j <= top], n, top >= 0, by C(n, j + 1) = C(n, j)(n - j)/(j + 1)."""
-    if n < 0 or top < 0:
-        raise ValueError(f"need n, top >= 0, got {(n, top)}")
+    """[C(n, j) for j <= top], n, top >= 0: C(n, j + 1) = C(n, j)(n - j)/(j + 1)
+    up to j = n // 2, then the mirror image C(n, j) = C(n, n - j), 0 past n."""
+    if not 0 <= top + top <= n:  # a lower-half row (every scan and gcp column) pays this one test
+        if n < 0 or top < 0:
+            raise ValueError(f"need n, top >= 0, got {(n, top)}")
+        row = binomial_row(n, n // 2)
+        return row + row[n - min(top, n) : n - n // 2][::-1] + [0] * (top - n)
     row = [c := 1]
     for j in range(top):
         row.append(c := c * (n - j) // (j + 1))

@@ -143,6 +143,14 @@ class GroupSpec:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"{fs} is not a divisibility chain")
+        self._set(fs)
+
+    @classmethod
+    def _of(cls, fs: tuple[int, ...]) -> "GroupSpec":
+        """Unchecked: the group of a chain its caller built, ints >= 2 each dividing the next."""
+        return object.__new__(cls)._set(fs)
+
+    def _set(self, fs: tuple[int, ...]) -> "GroupSpec":
         order = prod(fs)
         object.__setattr__(self, "invariant_factors", fs)
         object.__setattr__(self, "order", order)
@@ -150,6 +158,7 @@ class GroupSpec:
         # top axis when the top factor is the only even one, else 0
         total = order // 2 if order % 2 == 0 and (len(fs) == 1 or fs[-2] % 2) else 0
         object.__setattr__(self, "_total", total)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

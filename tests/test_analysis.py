@@ -1,6 +1,7 @@
 """Predicates, verifiers, and the group-pair scan."""
 
 import json
+import pickle
 from decimal import Decimal
 from math import comb, gcd, prod
 
@@ -94,6 +95,20 @@ def test_groups_up_to_walks_to_the_per_order_listing():
         assert str(err.value) == reason
 
 
+def test_walk_built_groups_equal_checked_groups():
+    # both listings build their groups unchecked; each must be the group that
+    # the checked constructor makes of its chain, down to pickling
+    walked = analysis._groups_up_to(512)
+    listed = [g for o in range(1, 513) for g in all_abelian_groups(o)]
+    for g in walked + listed:
+        checked = GroupSpec(g.invariant_factors)
+        assert type(g) is GroupSpec and set(map(type, g.invariant_factors)) <= {int}
+        assert (g == checked, hash(g), g.order, g._total, str(g)) == (
+            True, hash(checked), checked.order, checked._total, str(checked)), g
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy == g, copy.order, copy._total) == (True, g.order, g._total), g
+
+
 def test_subset_reci_predicate():
     assert subset_reci_predicate(GroupSpec((6,)), 2) is False
     assert subset_reci_predicate(GroupSpec((4,)), 1) is True
@@ -158,6 +173,13 @@ def test_each_predicate_equals_its_unchecked_core():
     for bad in (1, 4, 2.0):
         with pytest.raises(ValueError):
             gcp_predicate(g, bad)
+
+
+def test_gcp_core_is_the_per_factor_rule():
+    # one product test: a prime divides no factor below the top iff it does not divide their product
+    for g in analysis._groups_up_to(256):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            assert analysis._gcp(g, p) is all(f % p for f in g.invariant_factors[:-1]), (g, p)
 
 
 def test_verify_gcp():

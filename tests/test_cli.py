@@ -1,5 +1,6 @@
 """CLI grammar, golden outputs, and exit codes."""
 
+import atexit
 import doctest
 import importlib
 import json
@@ -432,6 +433,45 @@ def test_main_in_process(capsys, monkeypatch, default_digit_limit):
             main()
         assert (exit_.value.code, capsys.readouterr().out) == (code, out + "\n")
         assert sys.get_int_max_str_digits() == 0
+    # entry runs the atexit handlers, then ends the process with main's code;
+    # both are recorders here, as the real ones would end pytest itself
+    ends = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ends.append("atexit"))
+    monkeypatch.setattr(os, "_exit", ends.append)
+    for argv, code, out in (
+        (["count", "sequences", "--group", "7", "--length", "5"], 0, '{"count":"66"}'),
+        (["count", "catalan", "--a", "3"], 2,
+         '{"error":"UsageError","reason":"the following arguments are required: --b"}'),
+    ):
+        monkeypatch.setattr(sys, "argv", ["zscomb", *argv])
+        ends.clear()
+        cli.entry()
+        assert (ends, capsys.readouterr().out) == (["atexit", code], out + "\n")
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone; its descriptor is a temporary file's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_in_process_exits_4_when_stdout_is_closed(capsys, monkeypatch, tmp_path):
+    # main points the descriptor at devnull, so never hand it fd 1
+    with open(tmp_path / "stdout", "w") as file, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _ClosedPipe(file.fileno()))
+        patch.setattr(sys, "argv", ["zscomb", "count", "catalan", "--a", "2", "--b", "3"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+    assert exit_.value.code == 4
+    assert capsys.readouterr() == (
+        "", '{"error":"BrokenPipeError","reason":"stdout was closed early"}\n')
 
 
 def test_console_entry_parses_argv_integers_past_the_digit_limit():

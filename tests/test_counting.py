@@ -268,8 +268,12 @@ def test_prime_power_binomial_small_arguments():
 def test_binomial_row():
     for n in range(300):
         assert binomial_row(n, n) == [comb(n, j) for j in range(n + 1)]
+    # each side of the n // 2 seam, where the mirrored half starts, and the zero tail
+    for n in range(65):
+        for top in range(n + 3):
+            assert binomial_row(n, top) == [comb(n, j) for j in range(top + 1)], (n, top)
     assert binomial_row(4, 6) == [1, 4, 6, 4, 1, 0, 0]
-    for n, top in ((-1, 2), (3, -1)):
+    for n, top in ((-1, 0), (-1, 2), (3, -1), (0, -1)):
         with pytest.raises(ValueError):
             binomial_row(n, top)
 
