@@ -213,13 +213,13 @@ def cnr_reciprocity_check(n: int, m: int, r: int) -> dict:
         "right": _decimal(right),
         "oracle_checked": oracle_checked,
     }
-    if left != right:
-        failures.append({**row, "reason": "sides differ"})
-    if gcd(n**r, m**r) == 1:
+    if coprime := gcd(n**r, m**r) == 1:
         cat = rational_catalan(n**r, m**r)
         row["catalan"] = _decimal(cat)
-        if left != cat:
-            failures.append({**row, "reason": "coprime case missed Catalan value"})
+    if left != right:  # the row is complete, so each failure carries all of it
+        failures.append({**row, "reason": "sides differ"})
+    if coprime and left != cat:
+        failures.append({**row, "reason": "coprime case missed Catalan value"})
     return _report("cnr", [row], failures)
 
 

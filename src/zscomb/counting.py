@@ -1,6 +1,6 @@
 """Closed-form counts of subsets, sequences and pairs with a prescribed sum.
 
-One divisor sum over the target's memoised character profile, in
+One divisor sum over the target's character profile, in
 :func:`count_pairs_coefficient`, gives every fixed-sum count: multisets and
 subsets are its two edges, and :func:`pair_dimension` is the pair count at
 target 0.  Each public count checks its inputs once (the target by reading
@@ -114,8 +114,7 @@ def count_subsets(group: GroupSpec, k: int, target: int = 0) -> int:
 def count_sequences(group: GroupSpec, m: int, target: int = 0) -> int:
     """Number of length-m multisets summing to target: the pair count's edge
     ``count_pairs_coefficient(group, target, m, 0)``."""
-    profile = character_profile(group, target)
-    return _pair_count(group, profile, group.check_size(m), 0)
+    return count_pairs_coefficient(group, target, m, 0)
 
 
 def rational_catalan(a: int, b: int) -> int:

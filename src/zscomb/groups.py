@@ -10,7 +10,7 @@ significant factor first:
 The unchecked `_digits` and `_label` encode one label, `_minus` a whole table.
 """
 
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd, lcm, prod
 from operator import add, index, neg, sub
 
@@ -289,11 +289,10 @@ def count_elements_of_order(group: GroupSpec, d: int) -> int:
 
 
 def character_profile(group: GroupSpec, g: int) -> tuple[tuple[int, int], ...]:
-    """Each nonzero (d, character_sum(group, g, d)), d | exponent ascending; memoised."""
+    """Each nonzero (d, character_sum(group, g, d)), d | exponent ascending."""
     return _profile(group.invariant_factors, group.check_label(g))
 
 
-@lru_cache(maxsize=512)  # holds all 220 groups of order <= 120
 def _profile(ns: tuple[int, ...], g: int) -> tuple[tuple[int, int], ...]:
     # F(l) = prod_i [gcd(n_i, l) | a_i] * gcd(n_i, l) of character_sum is
     # multiplicative in l, and so is its Moebius inversion f: on each prime

@@ -11,7 +11,7 @@ variables (s tracks multiset size, t tracks subset size):
 Every table is computed twice, and the two must agree before it is
 returned.  The closed route, :func:`counting.pair_count_table`, checks the
 target and both bounds once per table and adds one signed subset column per
-divisor of the memoised profile into every d-th row.  The series route
+divisor of the profile into every d-th row.  The series route
 expands the sum above, truncated, with its own signs, characters from
 `character_sum` (not the profile) and recurrences for its column and row
 factor, and calls no `counting` helper but `exact_div_row`: the agreement
@@ -58,7 +58,7 @@ class CoeffTable:
 
 
 def _series_table(group: GroupSpec, target: int, max_s: int, max_t: int):
-    """Truncated expansion, characters from `character_sum` (not the profile memo),
+    """Truncated expansion, characters from `character_sum` (not the profile),
     its own column and row-factor recurrences; of `counting`, only `exact_div_row`."""
     n = group.order
     acc = [[0] * (max_t + 1) for _ in range(max_s + 1)]

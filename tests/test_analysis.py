@@ -387,6 +387,12 @@ INJECTED = {
         [{"group": "4", "size": 2, "formula": "4", "oracle": "3"},
          {"n": 2, "m": 4, "r": 1, "left": "3", "right": "4", "oracle_checked": ["2", "4"],
           "reason": "sides differ"}]),
+    "cnr-coprime-sides": (
+        "count_sequences", lambda real: _bump(real, "3", 1),
+        lambda: cnr_reciprocity_check(2, 3, 1), "verify cnr --n 2 --m 3 --r 1",
+        [{"group": "3", "size": 2, "formula": "3", "oracle": "2"},
+         {"n": 2, "m": 3, "r": 1, "left": "2", "right": "3", "oracle_checked": ["2", "3"],
+          "catalan": "2", "reason": "sides differ"}]),
     "cnr-catalan": (
         "rational_catalan", lambda real: lambda a, b: real(a, b) + 1,
         lambda: cnr_reciprocity_check(2, 3, 1), "verify cnr --n 2 --m 3 --r 1",

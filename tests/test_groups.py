@@ -19,8 +19,9 @@ from zscomb import (
     mobius,
     normalize_group,
 )
+from zscomb import groups
 from zscomb.analysis import all_abelian_groups
-from zscomb.groups import _minus, _profile, character_profile
+from zscomb.groups import _minus, character_profile
 
 small_groups = (
     st.lists(st.integers(1, 12), max_size=4)
@@ -282,13 +283,12 @@ def test_character_sum_invalid_order():
 
 
 def test_character_profile_matches_character_sum():
-    # the memoised kernel against the per-divisor reference, on every target
+    # the prime-power kernel against the per-divisor reference, on every target
     for order in range(1, 65):
         for g in all_abelian_groups(order):
             for t in g.elements():
                 sums = [(d, character_sum(g, t, d)) for d in divisors(g.exponent)]
                 assert list(character_profile(g, t)) == [(d, c) for d, c in sums if c]
-    assert _profile.cache_info().maxsize is not None  # the memo is bounded
 
 
 def test_character_profile_matches_character_sum_to_order_2048():
@@ -301,10 +301,12 @@ def test_character_profile_matches_character_sum_to_order_2048():
                 assert character_profile(g, t) == tuple((d, c) for d, c in sums if c), (g, t)
 
 
-def test_character_profile_refuses_bad_targets():
-    g = GroupSpec((2, 4))
-    misses = _profile.cache_info().misses
-    for bad in (-1, 8, 8, -1):  # every call raises; no error is memoised
+def test_character_profile_refuses_bad_targets(monkeypatch):
+    g, calls = GroupSpec((2, 4)), []
+    monkeypatch.setattr(groups, "_profile", lambda *args: calls.append(args))
+    for bad in (-1, 8, 8, -1):  # every call raises before the kernel runs
         with pytest.raises(ValueError, match="out of range"):
             character_profile(g, bad)
-    assert _profile.cache_info().misses == misses
+    assert calls == []
+    character_profile(g, 7)
+    assert calls == [((2, 4), 7)]

@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from line_count import code_lines, main
+from statement_report import KNOWN, unexpected
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -53,3 +55,54 @@ def test_ci_compares_the_console_script_with_the_module():
     assert "python -m zscomb.cli scan reciprocity --max-order 40 >" in run
     assert 'cmp "$RUNNER_TEMP/scan-script.json" "$RUNNER_TEMP/scan-module.json"' in run
     assert "zscomb count catalan --a 3 >" in run and 'test "$status" -eq 2' in run
+
+
+def _step(start):
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    (step,) = [step for step in steps if step.get("name", "").startswith(start)]
+    return step
+
+
+def test_ci_reports_both_src_line_counts():
+    step = _step("Report the src/ line total")
+    assert step["if"] == "matrix.python-version == '3.11'"
+    assert "wc -l src/zscomb/*.py" in step["run"]
+    assert "python tests/line_count.py src/zscomb/*.py" in step["run"]
+
+
+def test_code_lines_leave_out_comments_docstrings_and_blanks():
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # code with a comment\n"
+        '    """One line."""\n'
+        '    return """not a\n'
+        '    docstring"""\n'
+        "class C: '''doc'''; y = [\n"
+        "    1,\n"
+        "]\n"
+    )
+    # the def, the return and both lines of its string, the class line and the list's two
+    assert code_lines(source) == 6
+
+
+def test_line_count_prints_both_totals():
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "zscomb").glob("*.py"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    lines, code = sum(len(t.splitlines()) for t in texts), sum(map(code_lines, texts))
+    assert main(paths) == f"{lines} lines, {code} of them code (a token outside comments and docstrings)"
+    assert 0 < code < lines  # the total holds prose that the code count leaves out
+
+
+def test_ci_gates_the_unrun_statements():
+    step = _step("No src/ statement goes unrun")
+    assert step["if"] == "matrix.python-version == '3.11'"
+    run = step["run"]
+    assert "python -m pytest -q -W error -p tests.statement_report" in run
+    assert "|| status=$?" in run and run.rstrip().endswith('test "$status" -eq 0')
+    assert KNOWN == {("cli.py", "make_encoder = None"), ("cli.py", "entry()")}
+    missed = [("cli.py", 37, "make_encoder = None"), ("groups.py", 9, "return out"),
+              ("cli.py", 293, "entry()"), ("cli.py", 12, "main()")]
+    assert unexpected(missed) == [("groups.py", 9, "return out"), ("cli.py", 12, "main()")]
