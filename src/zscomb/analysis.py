@@ -29,9 +29,7 @@ ORACLE_BUDGET = 200_000
 
 def v2(m: int) -> int:
     """2-adic valuation: the largest t with 2^t dividing m; m >= 1."""
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"v2 needs m >= 1, got {m}")
+    m = _integer(m, "m", 1)
     return (m & -m).bit_length() - 1
 
 
@@ -52,16 +50,10 @@ def all_abelian_groups(order: int) -> list[GroupSpec]:
     return [GroupSpec._of(chain) for chain in _chains(order, 1)]
 
 
-def _max_order(max_order) -> int:
-    if (max_order := _integer(max_order, "max_order")) < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    return max_order
-
-
 def _groups_up_to(max_order: int) -> list[GroupSpec]:
     """Every group of order <= max_order, sorted by (order, chain), in one walk
     that extends each chain by the multiples of its top factor in bound."""
-    n = _max_order(max_order)
+    n = _integer(max_order, "max_order", 1)
     level, found = [(f, (f,)) for f in range(2, n + 1)], [(1, ())]  # (order, chain)
     while level:
         found += level
@@ -143,7 +135,7 @@ def _gcp(group: GroupSpec, p: int) -> bool:
 
 def verify_gcp(max_order: int = 16, primes=(2, 3, 5, 7)) -> dict:
     """Check gcp_predicate against counts for all groups up to max_order."""
-    max_order, rows, failures, text = _max_order(max_order), [], [], cache(_decimal)
+    max_order, rows, failures, text = _integer(max_order, "max_order", 1), [], [], cache(_decimal)
     primes = tuple(map(_prime, primes))  # checked once; an iterator is read once
     if not primes or len(set(primes)) < len(primes):
         raise ValueError(f"need at least one prime and no repeats, got {primes}")

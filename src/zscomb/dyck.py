@@ -22,15 +22,9 @@ from .zerosum import _shift, _zero_sum_input, check_vector, cyclic_shift
 _STEPS = bytes.maketrans(b"01\0\1", b"\0\1" b"01")
 
 
-def _gaps(gaps):
-    if min(gaps := _integers(gaps, "gaps"), default=0) < 0:
-        raise ValueError(f"gaps must be >= 0, got {gaps}")
-    return gaps
-
-
 def gaps_to_word(gaps) -> str:
     """Step word of a gap vector: x_i north steps, then one east step, per column."""
-    return "".join("0" * x + "1" for x in _gaps(gaps))
+    return "".join("0" * x + "1" for x in _integers(gaps, "gaps", 0))
 
 
 def word_to_gaps(word: str) -> tuple[int, ...]:
@@ -56,7 +50,7 @@ def is_dyck(a: int, b: int, path) -> bool:
         if path.count("1") != a:
             raise ValueError(f"step word must contain {a} east steps")
         return path.endswith("1") and _above(a, b, word_to_gaps(path))
-    if len(gaps := _gaps(path)) != a:
+    if len(gaps := _integers(path, "gaps", 0)) != a:
         raise ValueError(f"gap vector must have {a} entries")
     if sum(gaps) != b:
         raise ValueError(f"gaps must total {b}, got {sum(gaps)}")

@@ -39,9 +39,7 @@ def default_limit() -> int:
 
 def _check_budget(candidates: int, limit: int | None) -> int:
     """Charge candidates to the budget limit (default_limit() if None); return it."""
-    cap = default_limit() if limit is None else _integer(limit, "the budget")
-    if cap < 0:
-        raise ValueError(f"the budget must be >= 0, got {cap}")
+    cap = default_limit() if limit is None else _integer(limit, "the budget", 0)
     if candidates > cap:
         raise EnumerationLimitError(candidates, cap)
     return cap

@@ -59,25 +59,31 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-def _integer(value, what: str) -> int:
-    """value as an int through ``__index__``, so 2.5 or 1.0 is refused; a
-    plain int returns at once, so per-row checks cost one call."""
-    if type(value) is int:
-        return value
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+def _integer(value, what: str, low: int | None = None) -> int:
+    """value as an int through ``__index__`` (a plain int skips it), so 2.5 or
+    1.0 is refused; then, given a floor low, a value below it is refused."""
+    if type(value) is not int:
+        try:
+            value = index(value)
+        except TypeError:
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints through ``__index__``; ValueError naming them if not."""
+def _integers(values, what: str, low: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of ints through ``__index__``, each at least low if
+    given; ValueError naming them if not."""
     if iter(values) is values:
         values = tuple(values)
     try:
-        return tuple(map(index, values))
+        values = tuple(map(index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+    if low is not None and min(values, default=low) < low:
+        raise ValueError(f"{what} must be >= {low}, got {values}")
+    return values
 
 
 def _check_shape(a: int, b: int) -> None:
@@ -137,9 +143,7 @@ class GroupSpec:
     __slots__ = ("invariant_factors", "order", "_total")
 
     def __init__(self, invariant_factors: tuple[int, ...]):
-        fs = _integers(invariant_factors, "invariant factors")
-        if any(f < 2 for f in fs):
-            raise ValueError(f"invariant factors must be >= 2, got {fs}")
+        fs = _integers(invariant_factors, "invariant factors", 2)
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"{fs} is not a divisibility chain")
@@ -219,11 +223,10 @@ class GroupSpec:
     def check_size(self, size: int, subset: bool = False, capped: bool = True) -> int:
         """Return size as an int if it is a multiset length, or if subset a
         subset size: at most the order unless not capped."""
-        size = _integer(size, "subset size" if subset else "length")
-        if subset and capped and not 0 <= size <= self.order:
+        capped = subset and capped  # a capped size has its own range message
+        size = _integer(size, "subset size" if subset else "length", None if capped else 0)
+        if capped and not 0 <= size <= self.order:
             raise ValueError(f"subset size {size} out of range for order {self.order}")
-        if size < 0:
-            raise ValueError(f"{'subset size' if subset else 'length'} must be >= 0, got {size}")
         return size
 
     def coords(self, label: int) -> tuple[int, ...]:
@@ -328,9 +331,7 @@ def character_sum(group: GroupSpec, g: int, d: int) -> int:
     The result is an integer, possibly negative, and 0 when d does not divide
     the group exponent.
     """
-    d = _integer(d, "d")
-    if d < 1:
-        raise ValueError(f"order must be >= 1, got {d}")
+    d = _integer(d, "d", 1)
     coords = group.coords(g)
     ns = group.invariant_factors
     total = 0

@@ -27,6 +27,7 @@ from zscomb import (
     subsets_by_sum,
     v2,
 )
+from zscomb.groups import _integer, _integers
 
 G = GroupSpec((2, 4))
 BUDGET = "the budget must be an integer, got 2.5"
@@ -68,6 +69,11 @@ CASES = {
     "sequences_by_sum": (lambda: sequences_by_sum(G, 2, 2.5), BUDGET),
     "subsets_by_sum": (lambda: subsets_by_sum(G, 2, 2.5), BUDGET),
     "enum_dyck": (lambda: enum_dyck(3, 2, 2.5), BUDGET),
+    # an integer below its floor meets the same gate, in the same wording
+    "v2-0": (lambda: v2(0), "m must be >= 1, got 0"),
+    "character_sum-0": (lambda: character_sum(G, 0, 0), "d must be >= 1, got 0"),
+    "count_elements_of_order-0": (
+        lambda: count_elements_of_order(G, 0), "d must be >= 1, got 0"),
 }
 
 
@@ -81,6 +87,25 @@ def test_a_float_never_hits_a_cached_int():
     assert divisors(6) == (1, 2, 3, 6) and mobius(6) == 1 and is_prime(7)
     for call in (lambda: divisors(6.0), lambda: mobius(6.0), lambda: factorize(7.0)):
         with pytest.raises(ValueError, match="^n must be an integer, got "):
+            call()
+
+
+def test_the_gate_owns_the_floor():
+    # the floor itself passes, and True is read as 1
+    assert _integer(1, "m", 1) == 1 and _integers(iter([2, 4]), "factors", 2) == (2, 4)
+    assert _integer(True, "m", 1) == 1 and type(_integer(True, "m", 1)) is int
+    assert _integers((True, 0), "gaps", 0) == (1, 0)
+    refusals = (
+        # a non-integer below the floor gets the integer message first
+        (lambda: _integer(0.5, "m", 1), "m must be an integer, got 0.5"),
+        (lambda: _integers((-1.5,), "gaps", 0), "gaps must be integers, got (-1.5,)"),
+        (lambda: _integer(True, "d", 2), "d must be >= 2, got 1"),
+        # an iterator's values show as a tuple
+        (lambda: GroupSpec(iter([1, 4])), "invariant factors must be >= 2, got (1, 4)"),
+        (lambda: gaps_to_word(iter([1, -1])), "gaps must be >= 0, got (1, -1)"),
+    )
+    for call, reason in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
             call()
 
 

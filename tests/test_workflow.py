@@ -55,6 +55,8 @@ def test_ci_compares_the_console_script_with_the_module():
     assert "python -m zscomb.cli scan reciprocity --max-order 40 >" in run
     assert 'cmp "$RUNNER_TEMP/scan-script.json" "$RUNNER_TEMP/scan-module.json"' in run
     assert "zscomb count catalan --a 3 >" in run and 'test "$status" -eq 2' in run
+    # tier-1 runs whole against the installed package, not from src/
+    assert run.rstrip().endswith("env -u PYTHONPATH python -m pytest -q")
 
 
 def _step(start):
